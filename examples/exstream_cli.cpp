@@ -13,10 +13,8 @@
 // 0 = one per hardware thread). The explanation itself is identical for any
 // thread count.
 //
-// --ingest-threads N shards batched CEP ingestion over N worker threads
-// (default 1 = serial batched; 0 = one per hardware thread); match tables and
-// notifications are bit-identical for any value. --batch-size B sets the
-// replay batch size (default 512).
+// --batch-size B sets the replay batch size (default 512); match tables and
+// notifications are bit-identical for any value.
 //
 // --deadline-ms MS bounds one Explain call to MS milliseconds of wall clock;
 // on expiry the CLI reports how far the pipeline got and exits with status 3.
@@ -390,7 +388,6 @@ int Run(int argc, char** argv) {
   std::map<std::string, std::string> args;
   bool demo = argc <= 1;  // bare invocation runs the self-contained demo
   bool list_partitions = false;
-  bool query_merge = true;
   bool detect = false;
   bool auto_explain = false;
   for (int i = 1; i < argc; ++i) {
@@ -403,10 +400,6 @@ int Run(int argc, char** argv) {
       detect = true;
     } else if (arg == "--auto-explain") {
       auto_explain = true;
-    } else if (arg == "--no-query-merge") {
-      // Escape hatch: evaluate every query on its own automaton (the legacy
-      // per-query path) instead of merging equivalent queries.
-      query_merge = false;
     } else if (StartsWith(arg, "--") && i + 1 < argc) {
       args[arg.substr(2)] = argv[++i];
     } else {
@@ -439,8 +432,7 @@ int Run(int argc, char** argv) {
     fprintf(stderr,
             "usage: exstream_cli --demo | --schema F --events F --query F\n"
             "       [--column NAME] [--list-partitions] [--chart PARTITION]\n"
-            "       [--threads N] [--ingest-threads N] [--batch-size B]\n"
-            "       [--no-query-merge]\n"
+            "       [--threads N] [--batch-size B]\n"
             "       [--deadline-ms MS]\n"
             "       [--wal-dir DIR] [--fsync none|interval|every_batch]\n"
             "       [--checkpoint DIR] [--recover DIR]\n"
@@ -479,11 +471,6 @@ int Run(int argc, char** argv) {
   if (args.count("deadline-ms")) {
     config.explain.deadline_ms = strtod(args["deadline-ms"].c_str(), nullptr);
   }
-  if (args.count("ingest-threads")) {
-    config.ingest.ingest_threads =
-        static_cast<size_t>(strtoull(args["ingest-threads"].c_str(), nullptr, 10));
-  }
-  config.ingest.enable_query_merge = query_merge;
   size_t batch_size = kDefaultIngestBatchSize;
   if (args.count("batch-size")) {
     batch_size = static_cast<size_t>(strtoull(args["batch-size"].c_str(), nullptr, 10));
@@ -645,9 +632,8 @@ int Run(int argc, char** argv) {
       // stderr: a measured rate varies run to run, and stdout is expected to be
       // byte-identical across thread counts (the determinism contract).
       fprintf(stderr,
-              "ingest throughput: %.0f events/sec (batch %zu, ingest threads %zu)\n",
-              static_cast<double>(num_events) / ingest_secs, batch_size,
-              config.ingest.ingest_threads);
+              "ingest throughput: %.0f events/sec (batch %zu)\n",
+              static_cast<double>(num_events) / ingest_secs, batch_size);
     }
   } else if (args.count("listen") == 0) {
     printf("recovered state: %zu match rows\n",

@@ -5,8 +5,9 @@ Compares a fresh bench run against the committed baseline using only
 machine-independent quantities, so a baseline recorded on one host gates runs
 on any other:
 
-  * merge speedup ratio — merged batched ev/s divided by no-merge ev/s at the
-    top query count, each measured *within its own run*. Hardware speed
+  * merge speedup ratio — merged batched ev/s divided by no-merge (the
+    per-query reference oracle) ev/s at the top query count, each measured
+    *within its own run*. Hardware speed
     cancels out of the ratio; a >threshold drop (default 10%) fails.
   * match rows — the benches are seeded and deterministic, so every config
     must produce exactly the baseline's match rows on any machine.
@@ -34,22 +35,22 @@ def load(path):
         return json.load(f)
 
 
-def pick(results, queries, mode, threads):
+def pick(results, queries, mode):
     for r in results:
-        if r["queries"] == queries and r["mode"] == mode and r["threads"] == threads:
+        if r["queries"] == queries and r["mode"] == mode:
             return r
     return None
 
 
 def merge_speedup(results, queries, failures, label):
-    """Within-run merged/no-merge throughput ratio at `queries` (x1)."""
-    merged = pick(results, queries, "batched", 1)
-    plain = pick(results, queries, "no-merge", 1)
+    """Within-run merged/no-merge throughput ratio at `queries`."""
+    merged = pick(results, queries, "batched")
+    plain = pick(results, queries, "no-merge")
     if merged is None or plain is None:
-        failures.append(f"{label}: missing batched/no-merge x1 @ {queries} queries")
+        failures.append(f"{label}: missing batched/no-merge @ {queries} queries")
         return None
     if plain["events_per_sec"] <= 0:
-        failures.append(f"{label}: no-merge x1 @ {queries} queries ran at 0 ev/s")
+        failures.append(f"{label}: no-merge @ {queries} queries ran at 0 ev/s")
         return None
     return merged["events_per_sec"] / plain["events_per_sec"]
 
@@ -80,10 +81,10 @@ def main():
 
     # Informational only — absolute ev/s depend on the host and are not gated.
     for mode in ("batched", "no-merge"):
-        b = pick(base["results"], top_queries, mode, 1)
-        c = pick(cur["results"], top_queries, mode, 1)
+        b = pick(base["results"], top_queries, mode)
+        c = pick(cur["results"], top_queries, mode)
         if b is not None and c is not None:
-            print(f"{mode:>9} x1 @ {top_queries}q: baseline "
+            print(f"{mode:>9} @ {top_queries}q: baseline "
                   f"{b['events_per_sec']:,.0f} ev/s, current "
                   f"{c['events_per_sec']:,.0f} ev/s (informational)")
 
@@ -108,16 +109,16 @@ def main():
     # exact on any machine, and a throughput "win" that skips work is a
     # correctness bug, not a speedup.
     for b in base["results"]:
-        c = pick(cur["results"], b["queries"], b["mode"], b["threads"])
+        c = pick(cur["results"], b["queries"], b["mode"])
         if c is not None and c["match_rows"] != b["match_rows"]:
             failures.append(
-                f"{b['mode']} x{b['threads']} @ {b['queries']} queries: "
+                f"{b['mode']} @ {b['queries']} queries: "
                 f"match_rows {c['match_rows']} != baseline {b['match_rows']}")
 
     # Merge-plan gate: the optimizer must still collapse the replicated query
     # set into as few groups as the baseline did.
-    b = pick(base["results"], top_queries, "batched", 1)
-    c = pick(cur["results"], top_queries, "batched", 1)
+    b = pick(base["results"], top_queries, "batched")
+    c = pick(cur["results"], top_queries, "batched")
     if b is not None and c is not None:
         print(f"merge groups @ {top_queries}q: baseline {b['merge_groups']}, "
               f"current {c['merge_groups']} (compression "

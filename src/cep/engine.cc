@@ -1,7 +1,6 @@
 #include "cep/engine.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "query/parser.h"
 
@@ -26,8 +25,8 @@ Result<QueryId> CepEngine::AddQuery(const Query& query) {
           static_cast<uint16_t>(kRouteSpecBase + SpecIndexFor(comp.type,
                                                               *comp.partition_attr));
     }
-    // A relevant type without a partition attribute stays unroutable, which
-    // reproduces the legacy "event type matches but carries no key" skip.
+    // A relevant type without a partition attribute stays unroutable: an
+    // event of that type carries no key, so it is skipped.
   }
 
   // Assign the query to its route class (creating one if this route table is
@@ -42,17 +41,12 @@ Result<QueryId> CepEngine::AddQuery(const Query& query) {
   if (qs.route_class == route_classes_.size()) route_classes_.push_back(qs.route);
   route_index_dirty_ = true;
 
-  // Recorded in both modes (and persisted by SaveState) so a restoring
-  // engine can reproduce the exact merge plan: a mid-stream query is forced
-  // singleton, and that decision must survive a checkpoint even though the
-  // queries are re-added before any event flows during recovery.
-  qs.added_mid_stream = events_processed_ > 0;
-
-  if (!merge_enabled_) return id;
-
   // Merge-plan assignment. A query added after ingestion started must not
   // join a group whose runs already carry partial matches from events it
-  // never saw — it is forced into a fresh singleton group instead.
+  // never saw — it is forced into a fresh singleton group instead. The flag
+  // is persisted by SaveState so a restoring engine reproduces the plan even
+  // though recovery re-adds every query before any event flows.
+  qs.added_mid_stream = events_processed_ > 0;
   AssignMergePlan(id, /*force_singleton=*/qs.added_mid_stream);
   return id;
 }
@@ -62,7 +56,6 @@ void CepEngine::AssignMergePlan(QueryId id, bool force_singleton) {
   const MergeAssignment a = planner_.Assign(qs.compiled, force_singleton);
   if (a.new_group) {
     auto g = std::make_unique<MergeGroup>();
-    g->index = a.group;
     g->nfa = std::make_unique<SharedNfa>(&qs.compiled);
     g->route = qs.route;
     g->route_class = qs.route_class;
@@ -108,31 +101,6 @@ Result<QueryId> CepEngine::QueryIdByName(std::string_view name) const {
   return Status::NotFound("no query named '" + std::string(name) + "'");
 }
 
-void CepEngine::SetIngestThreads(size_t n) {
-  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (n == 0) n = hw;
-  num_shards_ = n;
-  if (merge_enabled_) {
-    pool_.reset();
-    // The shard pipeline is (re)built lazily by the next IngestBatch; a
-    // mismatched or now-unneeded one is torn down here. Workers are
-    // deliberately NOT capped at the core count: each shard's queue needs a
-    // live consumer for the pipeline to flow at all.
-    if (n <= 1 || (pipes_ && pipes_->pipes.size() != n)) StopPipes();
-    return;
-  }
-  // The shard count fixes the work decomposition (and is what the
-  // determinism contract ranges over); the worker count is only a schedule,
-  // so it is capped at the core count — oversubscribing cores buys nothing
-  // and on a single core the shards simply run back to back.
-  const size_t workers = std::min(n, hw);
-  if (workers <= 1) {
-    pool_.reset();
-  } else if (pool_ == nullptr || pool_->num_threads() != workers) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-}
-
 uint16_t CepEngine::SpecIndexFor(EventTypeId type, size_t attr) {
   for (size_t s = 0; s < specs_.size(); ++s) {
     if (specs_[s].type == type && specs_[s].attr == attr) {
@@ -144,19 +112,6 @@ uint16_t CepEngine::SpecIndexFor(EventTypeId type, size_t attr) {
   if (specs_by_type_.size() <= type) specs_by_type_.resize(type + 1);
   specs_by_type_[type].push_back(s);
   return s;
-}
-
-uint32_t CepEngine::InternKey(QueryState& qs, std::string_view key, uint64_t hash,
-                              MatchTable::Appender* appender) {
-  bool created = false;
-  const uint32_t id = qs.interner.Intern(key, hash, &created);
-  if (created) {
-    qs.runs.emplace_back(&qs.compiled);
-    qs.buckets.push_back(appender != nullptr
-                             ? appender->EnsureBucket(qs.interner.KeyOf(id))
-                             : qs.matches.EnsureBucket(qs.interner.KeyOf(id)));
-  }
-  return id;
 }
 
 uint32_t CepEngine::InternGroupKey(MergeGroup& g, std::string_view key,
@@ -178,139 +133,6 @@ uint32_t CepEngine::InternGroupKey(MergeGroup& g, std::string_view key,
   return id;
 }
 
-size_t CepEngine::ShardOf(uint32_t group, uint32_t run, size_t num_shards) {
-  uint64_t x = (static_cast<uint64_t>(group) << 32) | run;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return static_cast<size_t>(x % num_shards);
-}
-
-void CepEngine::OnEvent(const Event& event) {
-  ++events_processed_;
-  if (merge_enabled_) {
-    OnEventMerged(event);
-    return;
-  }
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    QueryState& qs = *queries_[qi];
-    const uint16_t r = event.type < qs.route.size() ? qs.route[event.type]
-                                                    : kRouteIrrelevant;
-    if (r == kRouteIrrelevant) continue;
-
-    std::string_view key;
-    uint64_t hash;
-    if (r == kRouteEmptyKey) {
-      hash = empty_key_hash_;
-    } else {
-      const ExtractorSpec& spec = specs_[r - kRouteSpecBase];
-      const Value& v = event.values[spec.attr];
-      if (v.is_string()) {
-        key = v.AsString();
-      } else {
-        serial_key_scratch_ = v.ToString();
-        key = serial_key_scratch_;
-      }
-      hash = PartitionKeyHash(key);
-    }
-
-    const uint32_t id = InternKey(qs, key, hash, nullptr);
-    RunStepResult step = qs.runs[id].OnEvent(event, &serial_row_scratch_);
-    const uint32_t bucket = qs.buckets[id];
-    if (step.emitted_row) {
-      qs.matches.Append(bucket, serial_row_scratch_);
-      if (callback_) {
-        callback_(MatchNotification{static_cast<QueryId>(qi), id,
-                                    qs.interner.KeyOf(id), serial_row_scratch_,
-                                    step.match_complete});
-      }
-    }
-    if (step.match_complete) {
-      qs.matches.MarkComplete(bucket);
-      if (callback_ && !step.emitted_row) {
-        callback_(MatchNotification{static_cast<QueryId>(qi), id,
-                                    qs.interner.KeyOf(id), MatchRow{}, true});
-      }
-    }
-  }
-}
-
-void CepEngine::OnEventMerged(const Event& event) {
-  const bool want_notes = callback_ != nullptr;
-  serial_notes_.clear();
-  for (auto& gp : groups_) {
-    MergeGroup& g = *gp;
-    const uint16_t r =
-        event.type < g.route.size() ? g.route[event.type] : kRouteIrrelevant;
-    if (r == kRouteIrrelevant) continue;
-
-    std::string_view key;
-    uint64_t hash;
-    if (r == kRouteEmptyKey) {
-      hash = empty_key_hash_;
-    } else {
-      const ExtractorSpec& spec = specs_[r - kRouteSpecBase];
-      const Value& v = event.values[spec.attr];
-      if (v.is_string()) {
-        key = v.AsString();
-      } else {
-        serial_key_scratch_ = v.ToString();
-        key = serial_key_scratch_;
-      }
-      hash = PartitionKeyHash(key);
-    }
-
-    const uint32_t id = InternGroupKey(g, key, hash);
-    SharedRun& run = g.runs[id];
-    const SharedStepResult step = run.Step(event);
-    if (!step.absorbed_kleene && !step.match_complete) continue;
-    const uint32_t bucket = g.buckets[id];
-    for (ResidueClass& rc : g.residues) {
-      const bool per_kleene = g.nfa->EmitsPerKleeneEvent(rc.nfa_residue);
-      const bool row_now =
-          (step.absorbed_kleene && per_kleene) ||
-          (step.match_complete && !(per_kleene && step.closed_kleene));
-      if (row_now) {
-        serial_row_scratch_.ts = event.ts;
-        serial_row_scratch_.values.clear();
-        run.AppendRowValues(rc.nfa_residue, event, &serial_row_scratch_.values);
-        for (TableClass& tc : rc.tables) {
-          tc.table->Append(bucket, serial_row_scratch_);
-          if (step.match_complete) tc.table->MarkComplete(bucket);
-        }
-        if (want_notes) {
-          for (const QueryId q : rc.members) {
-            serial_notes_.push_back(
-                {0, MatchNotification{q, id, g.interner.KeyOf(id),
-                                      serial_row_scratch_, step.match_complete}});
-          }
-        }
-      } else if (step.match_complete) {
-        for (TableClass& tc : rc.tables) tc.table->MarkComplete(bucket);
-        if (want_notes) {
-          for (const QueryId q : rc.members) {
-            serial_notes_.push_back(
-                {0, MatchNotification{q, id, g.interner.KeyOf(id), MatchRow{},
-                                      true}});
-          }
-        }
-      }
-    }
-    if (step.match_complete) run.Reset();
-  }
-  if (!serial_notes_.empty()) {
-    // Canonical callback order is ascending query id per event; group order
-    // interleaves member ids, so sort before delivery.
-    std::stable_sort(serial_notes_.begin(), serial_notes_.end(),
-                     [](const PendingNote& a, const PendingNote& b) {
-                       return a.note.query < b.note.query;
-                     });
-    for (const PendingNote& p : serial_notes_) callback_(p.note);
-  }
-}
-
 void CepEngine::RebuildRouteIndex() {
   classes_by_type_.assign(registry_->size(), {});
   for (size_t c = 0; c < route_classes_.size(); ++c) {
@@ -324,7 +146,7 @@ void CepEngine::RebuildRouteIndex() {
   route_index_dirty_ = false;
 }
 
-void CepEngine::PrepareBatchKeys(const EventBatch& batch) {
+void CepEngine::PrepareBatchKeys(std::span<const Event> batch) {
   const size_t n = batch.size();
   prep_.resize(specs_.size());
   prep_keys_.resize(specs_.size());
@@ -360,72 +182,8 @@ void CepEngine::PrepareBatchKeys(const EventBatch& batch) {
   }
 }
 
-void CepEngine::ProcessShard(const EventBatch& batch, size_t shard, size_t stride,
-                             ShardScratch* scratch) {
-  const bool want_notes = callback_ != nullptr;
-  for (size_t qi = shard; qi < queries_.size(); qi += stride) {
-    QueryState& qs = *queries_[qi];
-    // One lock acquisition per query per batch: rows, bucket registrations,
-    // and completions go straight into the table while the appender holds
-    // the lock (readers wait out one batch scan at most).
-    MatchTable::Appender appender(&qs.matches);
-    // Only this query's relevant events, via its route class's shared index
-    // list — irrelevant events cost nothing here, not even a route lookup.
-    for (const uint32_t i : class_events_[qs.route_class]) {
-      const Event& e = batch[i];
-      const uint16_t r = qs.route[e.type];
-
-      std::string_view key;
-      uint64_t hash;
-      if (r == kRouteEmptyKey) {
-        hash = empty_key_hash_;
-      } else {
-        const PrepKey& pk = prep_[r - kRouteSpecBase][i];
-        key = pk.view;
-        hash = pk.hash;
-      }
-
-      const uint32_t id = InternKey(qs, key, hash, &appender);
-      QueryRun& run = qs.runs[id];
-      const RunStepResult step = run.OnEventDeferred(e);
-      if (!step.emitted_row && !step.match_complete) {
-        continue;
-      }
-      const uint32_t bucket = qs.buckets[id];
-      if (step.emitted_row) {
-        // Harvest the row straight into bucket storage — the run's pre-reset
-        // state backs AppendRowValues, so no intermediate row is built.
-        std::vector<Value>* cells = appender.BeginRow(bucket, e.ts);
-        const size_t first = cells->size();
-        run.AppendRowValues(e, cells);
-        appender.EndRow(bucket);
-        if (want_notes) {
-          MatchRow row;
-          row.ts = e.ts;
-          row.values.assign(cells->begin() + static_cast<ptrdiff_t>(first),
-                            cells->end());
-          scratch->notes.push_back(
-              {i, MatchNotification{static_cast<QueryId>(qi), id,
-                                    qs.interner.KeyOf(id), std::move(row),
-                                    step.match_complete}});
-        }
-      }
-      if (step.match_complete) {
-        run.Reset();
-        appender.MarkComplete(bucket);
-        if (want_notes && !step.emitted_row) {
-          scratch->notes.push_back(
-              {i, MatchNotification{static_cast<QueryId>(qi), id,
-                                    qs.interner.KeyOf(id), MatchRow{}, true}});
-        }
-      }
-    }
-  }
-}
-
-void CepEngine::RouteGroupBatch(MergeGroup& g, const EventBatch& batch,
-                                std::vector<std::vector<WorkItem>>* per_shard) {
-  const size_t shards = per_shard->size();
+void CepEngine::RouteGroupBatch(MergeGroup& g, std::span<const Event> batch) {
+  items_.clear();
   for (const uint32_t i : class_events_[g.route_class]) {
     const Event& e = batch[i];
     const uint16_t r = g.route[e.type];
@@ -440,17 +198,15 @@ void CepEngine::RouteGroupBatch(MergeGroup& g, const EventBatch& batch,
       hash = pk.hash;
     }
 
-    const uint32_t id = InternGroupKey(g, key, hash);
-    const size_t s = shards == 1 ? 0 : ShardOf(g.index, id, shards);
-    (*per_shard)[s].push_back(WorkItem{i, id});
+    items_.push_back(WorkItem{i, InternGroupKey(g, key, hash)});
   }
 }
 
-void CepEngine::ProcessMergedBlock(const WorkBlock& block, ShardScratch* scratch) {
-  MergeGroup& g = *block.group;
+void CepEngine::ProcessGroup(MergeGroup& g, std::span<const Event> batch) {
+  const bool want_notes = callback_ != nullptr;
   const SharedNfa& nfa = *g.nfa;
-  for (const WorkItem& it : block.items) {
-    const Event& e = (*block.batch)[it.event];
+  for (const WorkItem& it : items_) {
+    const Event& e = batch[it.event];
     SharedRun& run = g.runs[it.run];
     const SharedStepResult step = run.Step(e);
     if (!step.absorbed_kleene && !step.match_complete) continue;
@@ -463,36 +219,27 @@ void CepEngine::ProcessMergedBlock(const WorkBlock& block, ShardScratch* scratch
       if (row_now) {
         // Build the row once per residue class, then fan out one physical
         // append per table class (not per member query).
-        scratch->row.clear();
-        run.AppendRowValues(rc.nfa_residue, e, &scratch->row);
+        row_.ts = e.ts;
+        row_.values.clear();
+        run.AppendRowValues(rc.nfa_residue, e, &row_.values);
         for (TableClass& tc : rc.tables) {
-          MatchTable::ShardAppender appender(tc.table);
-          appender.AppendRow(bucket, e.ts, scratch->row.data(),
-                             scratch->row.size());
-          if (step.match_complete) appender.MarkComplete(bucket);
+          tc.table->Append(bucket, row_);
+          if (step.match_complete) tc.table->MarkComplete(bucket);
         }
-        if (block.want_notes) {
+        if (want_notes) {
           for (const QueryId q : rc.members) {
-            MatchRow row;
-            row.ts = e.ts;
-            row.values = scratch->row;
-            scratch->notes.push_back(
-                {it.event,
-                 MatchNotification{q, it.run, g.interner.KeyOf(it.run),
-                                   std::move(row), step.match_complete}});
+            notes_.push_back({it.event,
+                              MatchNotification{q, it.run, g.interner.KeyOf(it.run),
+                                                row_, step.match_complete}});
           }
         }
       } else if (step.match_complete) {
-        for (TableClass& tc : rc.tables) {
-          MatchTable::ShardAppender appender(tc.table);
-          appender.MarkComplete(bucket);
-        }
-        if (block.want_notes) {
+        for (TableClass& tc : rc.tables) tc.table->MarkComplete(bucket);
+        if (want_notes) {
           for (const QueryId q : rc.members) {
-            scratch->notes.push_back(
-                {it.event, MatchNotification{q, it.run,
-                                             g.interner.KeyOf(it.run),
-                                             MatchRow{}, true}});
+            notes_.push_back({it.event,
+                              MatchNotification{q, it.run, g.interner.KeyOf(it.run),
+                                                MatchRow{}, true}});
           }
         }
       }
@@ -501,153 +248,34 @@ void CepEngine::ProcessMergedBlock(const WorkBlock& block, ShardScratch* scratch
   }
 }
 
-void CepEngine::EnsurePipes(size_t shards) {
-  if (pipes_ != nullptr && pipes_->pipes.size() == shards) return;
-  StopPipes();
-  pipes_ = std::make_unique<ShardPipes>();
-  for (size_t s = 0; s < shards; ++s) pipes_->pipes.emplace_back();
-  std::atomic<bool>* stop = &pipes_->stop;
-  for (size_t s = 0; s < shards; ++s) {
-    ShardPipe* pipe = &pipes_->pipes[s];
-    // The worker touches only its pipe and the blocks it pops — never the
-    // engine — so the loop stays valid for the pipeline's whole lifetime.
-    pipe->worker = std::thread([pipe, stop] {
-      WorkBlock block;
-      while (pipe->queue.PopWait(&block, *stop)) {
-        ProcessMergedBlock(block, &pipe->scratch);
-        block = WorkBlock{};  // drop batch/group refs before signaling done
-        pipe->done.fetch_add(1, std::memory_order_release);
-        { std::lock_guard<std::mutex> lock(pipe->drain_mu); }
-        pipe->drain_cv.notify_one();
-      }
-    });
-  }
+void CepEngine::DispatchNotifications() {
+  if (notes_.empty()) return;
+  // Groups emit in per-group stream order; the canonical sequential order is
+  // (event, query). Stable sort keeps the fixed row-before-completion order
+  // of the (at most two) notes one (event, query) pair can produce.
+  std::stable_sort(notes_.begin(), notes_.end(),
+                   [](const PendingNote& a, const PendingNote& b) {
+                     if (a.event_idx != b.event_idx) return a.event_idx < b.event_idx;
+                     return a.note.query < b.note.query;
+                   });
+  for (const PendingNote& p : notes_) callback_(p.note);
+  notes_.clear();
 }
 
-void CepEngine::StopPipes() {
-  if (pipes_ == nullptr) return;
-  pipes_->stop.store(true, std::memory_order_release);
-  for (ShardPipe& pipe : pipes_->pipes) pipe.queue.Wake();
-  for (ShardPipe& pipe : pipes_->pipes) {
-    if (pipe.worker.joinable()) pipe.worker.join();
-  }
-  pipes_.reset();
-}
-
-void CepEngine::IngestBatchMerged(const EventBatch& batch) {
+void CepEngine::IngestBatch(std::span<const Event> batch) {
+  if (batch.empty()) return;
+  events_processed_ += batch.size();
   PrepareBatchKeys(batch);
-  const bool want_notes = callback_ != nullptr;
-  const size_t shards = std::max<size_t>(1, num_shards_);
-  const bool parallel = shards > 1;
-  if (parallel) EnsurePipes(shards);
-  // Exactly `shards` entries — shrink as well as grow. RouteGroupBatch infers
-  // the shard count from this list's size, and a stale larger list (after
-  // SetIngestThreads lowered the count) would route items into shards that
-  // are never drained, silently dropping events.
-  route_items_.resize(shards);
-  if (scratch_.empty()) scratch_.resize(1);
-
   for (auto& gp : groups_) {
     MergeGroup& g = *gp;
     if (g.route_class >= class_events_.size() ||
         class_events_[g.route_class].empty()) {
       continue;
     }
-    // Route this group single-threaded in stream order (deterministic intern
-    // ids and bucket registrations), THEN hand its blocks off. A shard may
-    // still be chewing on earlier groups while this one is routed — the
-    // per-group containers make that safe — but nothing ever processes a
-    // group concurrently with its own routing.
-    for (size_t s = 0; s < shards; ++s) route_items_[s].clear();
-    RouteGroupBatch(g, batch, &route_items_);
-    if (!parallel) {
-      if (route_items_[0].empty()) continue;
-      WorkBlock block;
-      block.batch = &batch;
-      block.group = &g;
-      block.want_notes = want_notes;
-      block.items = std::move(route_items_[0]);
-      ProcessMergedBlock(block, &scratch_[0]);
-      route_items_[0] = std::move(block.items);  // recycle capacity
-    } else {
-      for (size_t s = 0; s < shards; ++s) {
-        if (route_items_[s].empty()) continue;
-        WorkBlock block;
-        block.batch = &batch;
-        block.group = &g;
-        block.want_notes = want_notes;
-        block.items = std::move(route_items_[s]);
-        route_items_[s] = std::vector<WorkItem>();
-        ShardPipe& pipe = pipes_->pipes[s];
-        pipe.pushed.fetch_add(1, std::memory_order_relaxed);
-        pipe.queue.PushWait(std::move(block));
-      }
-    }
-  }
-
-  if (parallel) {
-    // Drain barrier at batch end only: preserves the read-after-IngestBatch
-    // contract and publishes all shard writes to this thread.
-    for (ShardPipe& pipe : pipes_->pipes) {
-      const uint64_t target = pipe.pushed.load(std::memory_order_relaxed);
-      std::unique_lock<std::mutex> lock(pipe.drain_mu);
-      pipe.drain_cv.wait(lock, [&] {
-        return pipe.done.load(std::memory_order_acquire) >= target;
-      });
-    }
-    if (scratch_.size() < shards) scratch_.resize(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      std::vector<PendingNote>& src = pipes_->pipes[s].scratch.notes;
-      if (src.empty()) continue;
-      std::vector<PendingNote>& dst = scratch_[s].notes;
-      dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                 std::make_move_iterator(src.end()));
-      src.clear();
-    }
-  }
-  DispatchNotifications();
-}
-
-void CepEngine::DispatchNotifications() {
-  if (callback_ == nullptr) {
-    for (ShardScratch& s : scratch_) s.notes.clear();
-    return;
-  }
-  merged_notes_.clear();
-  for (ShardScratch& s : scratch_) {
-    merged_notes_.insert(merged_notes_.end(),
-                         std::make_move_iterator(s.notes.begin()),
-                         std::make_move_iterator(s.notes.end()));
-    s.notes.clear();
-  }
-  // Shards emit in per-query stream order; the canonical sequential order is
-  // (event, query). Stable sort keeps the fixed row-before-completion order
-  // of the (at most two) notes one (event, query) pair can produce.
-  std::stable_sort(merged_notes_.begin(), merged_notes_.end(),
-                   [](const PendingNote& a, const PendingNote& b) {
-                     if (a.event_idx != b.event_idx) return a.event_idx < b.event_idx;
-                     return a.note.query < b.note.query;
-                   });
-  for (const PendingNote& p : merged_notes_) callback_(p.note);
-}
-
-void CepEngine::IngestBatch(const EventBatch& batch) {
-  if (batch.empty()) return;
-  events_processed_ += batch.size();
-  if (merge_enabled_) {
-    IngestBatchMerged(batch);
-    return;
-  }
-  PrepareBatchKeys(batch);
-  const size_t shards =
-      std::max<size_t>(1, std::min(num_shards_, queries_.size()));
-  if (scratch_.size() < shards) scratch_.resize(shards);
-  if (shards <= 1 || pool_ == nullptr) {
-    // Same decomposition and merge as the parallel path, scheduled serially.
-    for (size_t s = 0; s < shards; ++s) ProcessShard(batch, s, shards, &scratch_[s]);
-  } else {
-    ParallelFor(pool_.get(), shards,
-                [&](size_t s) { ProcessShard(batch, s, shards, &scratch_[s]); });
+    // Route the whole group first (intern ids and bucket registrations in
+    // stream order), then evaluate its routed events.
+    RouteGroupBatch(g, batch);
+    ProcessGroup(g, batch);
   }
   DispatchNotifications();
 }
@@ -655,8 +283,7 @@ void CepEngine::IngestBatch(const EventBatch& batch) {
 void CepEngine::SaveState(BytesWriter* out) const {
   out->Put<uint64_t>(events_processed_);
   out->Put<uint32_t>(static_cast<uint32_t>(queries_.size()));
-  // Mid-stream-add flags, written in both modes so snapshots stay
-  // cross-mode compatible. RestoreState replays them into the merge planner:
+  // Mid-stream-add flags. RestoreState replays them into the merge planner:
   // a query added after ingestion started was forced singleton at save time,
   // and must land in its own group again on restore even though recovery
   // re-adds every query before any event flows.
@@ -664,36 +291,22 @@ void CepEngine::SaveState(BytesWriter* out) const {
     out->Put<uint8_t>(qs->added_mid_stream ? 1 : 0);
   }
   for (const auto& qs : queries_) {
-    if (merge_enabled_) {
-      // Each member writes the state its own QueryRun would have held —
-      // byte-identical to the unmerged format, so snapshots round-trip
-      // across modes. Members of a group repeat the shared pieces (keys,
-      // buckets, traversal state); RestoreState uses the redundancy as a
-      // cross-check.
-      const MergeGroup& g = *groups_[qs->merge_group];
-      const uint32_t nfa_residue = g.residues[qs->merge_residue].nfa_residue;
-      const uint32_t n_keys = static_cast<uint32_t>(g.interner.size());
-      out->Put<uint32_t>(n_keys);
-      for (uint32_t id = 0; id < n_keys; ++id) {
-        out->PutString(g.interner.KeyOf(id));
-      }
-      out->PutPodVector(g.buckets);
-      for (uint32_t id = 0; id < n_keys; ++id) {
-        g.runs[id].SaveMemberView(nfa_residue, out);
-      }
-      qs->physical->SaveState(out);
-      continue;
-    }
-    const uint32_t n_keys = static_cast<uint32_t>(qs->interner.size());
+    // Each member writes the state its own QueryRun would have held (the
+    // per-query reference format). Members of a group repeat the shared
+    // pieces (keys, buckets, traversal state); RestoreState uses the
+    // redundancy as a cross-check.
+    const MergeGroup& g = *groups_[qs->merge_group];
+    const uint32_t nfa_residue = g.residues[qs->merge_residue].nfa_residue;
+    const uint32_t n_keys = static_cast<uint32_t>(g.interner.size());
     out->Put<uint32_t>(n_keys);
     for (uint32_t id = 0; id < n_keys; ++id) {
-      out->PutString(qs->interner.KeyOf(id));
+      out->PutString(g.interner.KeyOf(id));
     }
-    out->PutPodVector(qs->buckets);
+    out->PutPodVector(g.buckets);
     for (uint32_t id = 0; id < n_keys; ++id) {
-      qs->runs[id].SaveState(out);
+      g.runs[id].SaveMemberView(nfa_residue, out);
     }
-    qs->matches.SaveState(out);
+    qs->physical->SaveState(out);
   }
 }
 
@@ -709,40 +322,38 @@ Status CepEngine::RestoreState(BytesReader* in) {
   for (uint32_t i = 0; i < n_queries; ++i) {
     EXSTREAM_ASSIGN_OR_RETURN(mid_stream[i], in->Get<uint8_t>());
   }
-  if (merge_enabled_) {
-    // If the snapshot's mid-stream flags disagree with how this engine's
-    // queries were added (during recovery every query is re-added before any
-    // event, so none is forced singleton), the current merge plan groups
-    // queries the snapshot kept apart — their per-group key sets differ and
-    // the member cross-check below would reject the snapshot. Rebuild the
-    // plan with the persisted flags instead.
-    bool replan = false;
-    for (uint32_t i = 0; i < n_queries; ++i) {
-      if ((mid_stream[i] != 0) != queries_[i]->added_mid_stream) replan = true;
+  // If the snapshot's mid-stream flags disagree with how this engine's
+  // queries were added (during recovery every query is re-added before any
+  // event, so none is forced singleton), the current merge plan groups
+  // queries the snapshot kept apart — their per-group key sets differ and
+  // the member cross-check below would reject the snapshot. Rebuild the
+  // plan with the persisted flags instead.
+  bool replan = false;
+  for (uint32_t i = 0; i < n_queries; ++i) {
+    if ((mid_stream[i] != 0) != queries_[i]->added_mid_stream) replan = true;
+  }
+  if (replan) {
+    for (const auto& gp : groups_) {
+      if (gp->interner.size() != 0) {
+        return Status::InvalidArgument(
+            "engine must be freshly constructed before restore");
+      }
     }
-    if (replan) {
-      for (const auto& gp : groups_) {
-        if (gp->interner.size() != 0) {
-          return Status::InvalidArgument(
-              "engine must be freshly constructed before restore");
-        }
+    for (const auto& qs : queries_) {
+      if (qs->matches.TotalRows() != 0) {
+        return Status::InvalidArgument(
+            "engine must be freshly constructed before restore");
       }
-      for (const auto& qs : queries_) {
-        if (qs->matches.TotalRows() != 0) {
-          return Status::InvalidArgument(
-              "engine must be freshly constructed before restore");
-        }
-      }
-      planner_ = MergePlanner();
-      groups_.clear();
-      for (QueryId qi = 0; qi < queries_.size(); ++qi) {
-        queries_[qi]->physical = &queries_[qi]->matches;
-        AssignMergePlan(qi, /*force_singleton=*/mid_stream[qi] != 0);
-      }
+    }
+    planner_ = MergePlanner();
+    groups_.clear();
+    for (QueryId qi = 0; qi < queries_.size(); ++qi) {
+      queries_[qi]->physical = &queries_[qi]->matches;
+      AssignMergePlan(qi, /*force_singleton=*/mid_stream[qi] != 0);
     }
   }
   // Adopt the persisted flags so a re-checkpoint of the restored engine
-  // writes the same plan (and so unmerged engines round-trip them too).
+  // writes the same plan.
   for (QueryId qi = 0; qi < queries_.size(); ++qi) {
     queries_[qi]->added_mid_stream = mid_stream[qi] != 0;
   }
@@ -764,84 +375,62 @@ Status CepEngine::RestoreState(BytesReader* in) {
                     buckets.size(), n_keys));
     }
 
-    if (merge_enabled_) {
-      MergeGroup& g = *groups_[qs.merge_group];
-      const ResidueClass& rc = g.residues[qs.merge_residue];
-      const bool first_member = g.members.front() == qi;
-      const bool take_kleene = g.bound_source == qi;
-      const bool take_aggs = rc.rep == qi;
-      if (first_member) {
-        if (g.interner.size() != 0) {
-          return Status::InvalidArgument(
-              "engine must be freshly constructed before restore");
+    MergeGroup& g = *groups_[qs.merge_group];
+    const ResidueClass& rc = g.residues[qs.merge_residue];
+    const bool first_member = g.members.front() == qi;
+    const bool take_kleene = g.bound_source == qi;
+    const bool take_aggs = rc.rep == qi;
+    if (first_member) {
+      if (g.interner.size() != 0) {
+        return Status::InvalidArgument(
+            "engine must be freshly constructed before restore");
+      }
+      // Re-interning the keys in saved id order reproduces the exact id
+      // assignment (first-intern order is the id order).
+      g.runs.reserve(n_keys);
+      for (uint32_t i = 0; i < n_keys; ++i) {
+        bool created = false;
+        const uint32_t id =
+            g.interner.Intern(keys[i], PartitionKeyHash(keys[i]), &created);
+        if (!created || id != i) {
+          return Status::Corruption(
+              StrFormat("duplicate partition key in snapshot at id %u", i));
         }
-        // Re-interning the keys in saved id order reproduces the exact id
-        // assignment (first-intern order is the id order).
-        g.runs.reserve(n_keys);
-        for (uint32_t i = 0; i < n_keys; ++i) {
-          bool created = false;
-          const uint32_t id =
-              g.interner.Intern(keys[i], PartitionKeyHash(keys[i]), &created);
-          if (!created || id != i) {
-            return Status::Corruption(
-                StrFormat("duplicate partition key in snapshot at id %u", i));
-          }
-          g.runs.emplace_back(g.nfa.get());
-        }
-        g.buckets = std::move(buckets);
-      } else {
-        // Later members of the group must describe the exact same shared
-        // state their group already restored.
-        if (n_keys != g.interner.size() || buckets != g.buckets) {
+        g.runs.emplace_back(g.nfa.get());
+      }
+      g.buckets = std::move(buckets);
+    } else {
+      // Later members of the group must describe the exact same shared
+      // state their group already restored.
+      if (n_keys != g.interner.size() || buckets != g.buckets) {
+        return Status::Corruption(StrFormat(
+            "merged query %u disagrees with its group's restored keys", qi));
+      }
+      for (uint32_t i = 0; i < n_keys; ++i) {
+        if (keys[i] != g.interner.KeyOf(i)) {
           return Status::Corruption(StrFormat(
               "merged query %u disagrees with its group's restored keys", qi));
         }
-        for (uint32_t i = 0; i < n_keys; ++i) {
-          if (keys[i] != g.interner.KeyOf(i)) {
-            return Status::Corruption(StrFormat(
-                "merged query %u disagrees with its group's restored keys", qi));
-          }
-        }
       }
-      for (uint32_t i = 0; i < n_keys; ++i) {
-        EXSTREAM_RETURN_NOT_OK(g.runs[i].RestoreMemberView(
-            in, rc.nfa_residue, first_member, take_kleene, take_aggs));
-      }
-      if (qs.physical == &qs.matches) {
-        if (qs.matches.TotalRows() != 0) {
-          return Status::InvalidArgument(
-              "engine must be freshly constructed before restore");
-        }
-        EXSTREAM_RETURN_NOT_OK(qs.matches.RestoreState(in));
-      } else {
-        // Non-representative member of a table class: its table bytes equal
-        // the representative's, which were (or will be) restored into the
-        // shared physical table — parse into a throwaway to keep the stream
-        // aligned.
-        MatchTable discard(qs.compiled.OutputColumns());
-        EXSTREAM_RETURN_NOT_OK(discard.RestoreState(in));
-      }
-      continue;
     }
-
-    if (qs.interner.size() != 0 || qs.matches.TotalRows() != 0) {
-      return Status::InvalidArgument(
-          "engine must be freshly constructed before restore");
-    }
-    qs.runs.reserve(n_keys);
     for (uint32_t i = 0; i < n_keys; ++i) {
-      bool created = false;
-      const uint32_t id =
-          qs.interner.Intern(keys[i], PartitionKeyHash(keys[i]), &created);
-      if (!created || id != i) {
-        return Status::Corruption(
-            StrFormat("duplicate partition key in snapshot at id %u", i));
-      }
-      qs.runs.emplace_back(&qs.compiled);
-      EXSTREAM_RETURN_NOT_OK(qs.runs.back().RestoreState(in));
+      EXSTREAM_RETURN_NOT_OK(g.runs[i].RestoreMemberView(
+          in, rc.nfa_residue, first_member, take_kleene, take_aggs));
     }
-    qs.buckets = std::move(buckets);
-    EXSTREAM_RETURN_NOT_OK(qs.matches.RestoreState(in));
+    if (qs.physical == &qs.matches) {
+      if (qs.matches.TotalRows() != 0) {
+        return Status::InvalidArgument(
+            "engine must be freshly constructed before restore");
+      }
+      EXSTREAM_RETURN_NOT_OK(qs.matches.RestoreState(in));
+    } else {
+      // Non-representative member of a table class: its table bytes equal
+      // the representative's, which were (or will be) restored into the
+      // shared physical table — parse into a throwaway to keep the stream
+      // aligned.
+      MatchTable discard(qs.compiled.OutputColumns());
+      EXSTREAM_RETURN_NOT_OK(discard.RestoreState(in));
+    }
   }
   events_processed_ = events_processed;
   return Status::OK();

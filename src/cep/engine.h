@@ -1,52 +1,34 @@
 // CepEngine: the multi-query CEP evaluator at the core of the monitoring
 // system (Fig. 1c / Fig. 18).
 //
-// Ingestion has two entry points with identical semantics:
+// There is one evaluator. Queries are canonicalized and grouped by matching
+// structure (cep/query_merge.h), and each *group* is evaluated once per event
+// by a shared automaton (cep/shared_nfa.h) regardless of how many member
+// queries it carries — the Fig. 20 scenario of thousands of near-identical
+// monitoring queries. Within a group, members with identical RETURN semantics
+// share row construction (residue classes) and members with identical output
+// columns share one physical MatchTable (table classes). Negation queries and
+// queries added mid-stream are singleton groups on the same evaluator.
 //
-//   * OnEvent        — the classic one-event-at-a-time path.
-//   * OnEventBatch   — the throughput path. Partition keys are extracted and
-//     hashed once per event (not once per query per event), partition ids are
-//     dense uint32_t interns indexing flat run vectors, and match rows flush
-//     to MatchTables in bulk.
+// Ingestion is batched: IngestBatch extracts and hashes partition keys once
+// per event (not once per query per event), then walks each group's relevant
+// events in stream order — interning keys to dense ids, stepping the shared
+// runs, appending rows — and finally delivers the batch's match callbacks in
+// canonical (event, query) order. OnEvent is a batch of one over the same
+// code.
 //
-// Multi-query optimization (enable_query_merge, on by default): queries are
-// canonicalized and grouped by matching structure (cep/query_merge.h), and
-// each *group* is evaluated once per event by a shared automaton
-// (cep/shared_nfa.h) regardless of how many member queries it carries — the
-// Fig. 20 scenario of thousands of near-identical monitoring queries. Within
-// a group, members with identical RETURN semantics share row construction
-// (residue classes) and members with identical output columns share one
-// physical MatchTable (table classes).
-//
-// Merged-mode threading is a contention-free pipeline: the ingesting thread
-// routes a batch group by group — interning keys, creating runs, registering
-// buckets, all single-threaded in stream order, so every id is deterministic —
-// and hands (event, run) work blocks to long-lived shard workers over SPSC
-// queues. Each (group, partition) run is owned by exactly one shard (a pure
-// hash of the pair), shards write disjoint match-table buckets under stripe
-// locks, and there is no barrier inside a batch: a shard drains its blocks as
-// they arrive while the router keeps routing later groups. IngestBatch waits
-// for all shards to drain before returning, preserving the read-after-ingest
-// contract.
-//
-// Determinism contract (same as the explanation pipeline): for any batch
-// split and any ingest_threads, the resulting MatchTables and the match
-// callback sequence are bit-identical to per-event sequential evaluation of
-// the unmerged engine. Callbacks are buffered tagged with (event index,
-// query) and merged into canonical (event, query) order before delivery on
-// the ingesting thread.
+// Determinism contract: for any batch split, the resulting MatchTables, the
+// callback sequence and the SaveState bytes are identical to evaluating every
+// query on its own, one QueryRun per partition, event by event (the reference
+// oracle the differential tests compare against).
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "cep/interner.h"
@@ -55,8 +37,6 @@
 #include "cep/query_merge.h"
 #include "cep/shared_nfa.h"
 #include "common/result.h"
-#include "common/spsc_queue.h"
-#include "common/thread_pool.h"
 #include "event/registry.h"
 #include "event/stream.h"
 
@@ -69,7 +49,7 @@ using QueryId = uint32_t;
 /// `partition` is a view into the engine's interned key storage — valid for
 /// the engine's lifetime, never a per-row string copy. `partition_id` is the
 /// dense intern id (assigned in first-seen stream order, so it is
-/// deterministic for a fixed event order regardless of batching/sharding).
+/// deterministic for a fixed event order regardless of batching).
 struct MatchNotification {
   QueryId query = 0;
   uint32_t partition_id = 0;
@@ -78,36 +58,24 @@ struct MatchNotification {
   bool complete = false;  ///< the full pattern completed with this event
 };
 
-/// \brief Engine construction knobs.
-struct CepEngineOptions {
-  /// Shards (worker threads) used by OnEventBatch; 1 = serial batched
-  /// evaluation, 0 = one per hardware thread. OnEvent is always serial.
-  size_t ingest_threads = 1;
-  /// Evaluate structurally equivalent queries through one shared automaton
-  /// per merge group. Off = the legacy per-query evaluator (the differential
-  /// baseline and the --no-query-merge escape hatch).
-  bool enable_query_merge = true;
-};
+/// \brief Engine construction options (none today; kept so configurations
+/// such as XStreamConfig::ingest have a stable home).
+struct CepEngineOptions {};
 
 /// \brief Evaluates many SASE queries over one event stream.
 ///
-/// Each query maintains one run per partition value (the bracketed
-/// equivalence attribute). Events irrelevant to a query (by type) are skipped
-/// via a per-query type-route table, so thousands of concurrent queries stay
+/// Each merge group maintains one run per partition value (the bracketed
+/// equivalence attribute). Events irrelevant to a group (by type) are skipped
+/// via per-route-class event lists, so thousands of concurrent queries stay
 /// cheap per event (the Fig. 20 scenario).
 ///
-/// Thread model: one ingesting thread calls OnEvent/OnEventBatch; readers
-/// (visualization, benches) may query MatchTables concurrently. OnEventBatch
-/// may internally fan out over its own worker pool (legacy mode) or the
-/// long-lived shard pipeline (merged mode).
+/// Thread model: one ingesting thread calls OnEvent/OnEventBatch/IngestBatch;
+/// readers (visualization, explanations, checkpoints) may query MatchTables
+/// concurrently — every row is appended under its table's mutex.
 class CepEngine : public EventSink {
  public:
-  explicit CepEngine(const EventTypeRegistry* registry, CepEngineOptions options = {})
-      : registry_(registry), merge_enabled_(options.enable_query_merge) {
-    SetIngestThreads(options.ingest_threads);
-  }
-
-  ~CepEngine() override { StopPipes(); }
+  explicit CepEngine(const EventTypeRegistry* registry, CepEngineOptions = {})
+      : registry_(registry) {}
 
   CepEngine(CepEngine&&) = delete;
   CepEngine& operator=(CepEngine&&) = delete;
@@ -118,26 +86,19 @@ class CepEngine : public EventSink {
   /// Parses, compiles, and registers a query given in Fig. 3 syntax.
   Result<QueryId> AddQueryText(std::string_view text, std::string name);
 
-  /// EventSink: feeds one event through every relevant query.
-  void OnEvent(const Event& event) override;
+  /// EventSink: feeds one event (a batch of one).
+  void OnEvent(const Event& event) override { IngestBatch({&event, 1}); }
 
   /// EventSink: batched ingest (see class comment for the contract).
   void OnEventBatch(EventBatch batch) override { IngestBatch(batch); }
 
   /// Batched ingest for callers that keep the buffer (e.g. to forward it).
-  void IngestBatch(const EventBatch& batch);
-
-  /// \brief Re-sizes the ingest shard pool (0 = hardware concurrency).
-  ///
-  /// Must not be called concurrently with ingestion.
-  void SetIngestThreads(size_t n);
-  size_t ingest_threads() const { return num_shards_; }
+  void IngestBatch(std::span<const Event> batch);
 
   size_t num_queries() const { return queries_.size(); }
   uint64_t events_processed() const { return events_processed_; }
 
-  bool merge_enabled() const { return merge_enabled_; }
-  /// Merge-plan shape (groups/residues/tables); all-zero when merge is off.
+  /// Merge-plan shape (groups/residues/tables).
   const MergePlanStats& merge_stats() const { return planner_.stats(); }
 
   const CompiledQuery& compiled(QueryId id) const { return queries_[id]->compiled; }
@@ -151,22 +112,21 @@ class CepEngine : public EventSink {
   /// \brief Registers a callback invoked on every emitted match row.
   ///
   /// Rows are appended to the match table before the callback sees them.
-  /// Under batched ingest, callbacks for a batch are delivered after the
-  /// batch is evaluated, in canonical (event, query) order, on the ingesting
-  /// thread.
+  /// Callbacks for a batch are delivered after the batch is evaluated, in
+  /// canonical (event, query) order, on the ingesting thread.
   void SetMatchCallback(std::function<void(const MatchNotification&)> cb) {
     callback_ = std::move(cb);
   }
 
   /// \brief Serializes every query's mutable evaluation state — interned
-  /// partition keys (in id order), per-partition NFA runs, match tables — and
-  /// the processed-event count, plus each query's mid-stream-add flag so the
-  /// restoring engine rebuilds the exact merge plan (mid-stream queries are
-  /// forced-singleton groups with their own key sets). Compiled queries and
-  /// route tables are NOT included: RestoreState requires the same queries
-  /// added in the same order. The format is identical in merged and unmerged
-  /// mode (merged groups write one member-view per query), so snapshots
-  /// round-trip across modes. Must not run concurrently with ingestion.
+  /// partition keys (in id order), per-partition run state, match tables —
+  /// and the processed-event count, plus each query's mid-stream-add flag so
+  /// the restoring engine rebuilds the exact merge plan (mid-stream queries
+  /// are forced-singleton groups with their own key sets). Each query writes
+  /// the record its own QueryRun-per-partition evaluation would hold (merge
+  /// groups write one member view per query). Compiled queries and route
+  /// tables are NOT included: RestoreState requires the same queries added in
+  /// the same order. Must not run concurrently with ingestion.
   void SaveState(BytesWriter* out) const;
 
   /// \brief Restores a SaveState snapshot. The engine must hold the same
@@ -199,25 +159,16 @@ class CepEngine : public EventSink {
     MatchNotification note;
   };
 
-  /// Per-shard reusable buffers (owned by exactly one shard per batch).
-  struct ShardScratch {
-    std::vector<PendingNote> notes;  ///< whole batch
-    std::vector<Value> row;          ///< merged mode: per-residue row build
-  };
-
   struct QueryState {
     CompiledQuery compiled;
     MatchTable matches;
     /// The physical table serving match_table(id): &matches, or the table
     /// class representative's matches when this query merged into one.
     MatchTable* physical = nullptr;
-    PartitionInterner interner;       ///< legacy (merge-off) mode only
-    std::vector<QueryRun> runs;       ///< indexed by interned partition id
-    std::vector<uint32_t> buckets;    ///< interned id -> match-table bucket
     std::vector<uint16_t> route;      ///< event type -> route entry
     uint32_t route_class = 0;         ///< index into route_classes_
-    uint32_t merge_group = 0;         ///< merged mode: owning group index
-    uint32_t merge_residue = 0;       ///< merged mode: residue within group
+    uint32_t merge_group = 0;         ///< owning group index
+    uint32_t merge_residue = 0;       ///< residue within the group
     /// Added after ingestion started (forced singleton in the merge plan).
     /// Persisted by SaveState so RestoreState reproduces the same plan.
     bool added_mid_stream = false;
@@ -246,7 +197,6 @@ class CepEngine : public EventSink {
   /// \brief One merge group: a shared automaton plus all per-partition state
   /// its members would otherwise hold independently.
   struct MergeGroup {
-    uint32_t index = 0;
     std::unique_ptr<SharedNfa> nfa;
     std::vector<ResidueClass> residues;
     std::vector<QueryId> members;      ///< ascending query id
@@ -266,37 +216,6 @@ class CepEngine : public EventSink {
     uint32_t run = 0;
   };
 
-  /// \brief A routed slice of one group's batch work, handed to one shard.
-  /// Carries everything the worker needs so workers never touch the engine.
-  struct WorkBlock {
-    const EventBatch* batch = nullptr;
-    MergeGroup* group = nullptr;
-    bool want_notes = false;
-    std::vector<WorkItem> items;
-  };
-
-  /// \brief One long-lived shard worker and its handoff queue.
-  struct ShardPipe {
-    SpscQueue<WorkBlock> queue{1024};
-    std::thread worker;
-    std::atomic<uint64_t> pushed{0};  ///< router-side block count
-    std::atomic<uint64_t> done{0};    ///< worker-side block count
-    std::mutex drain_mu;
-    std::condition_variable drain_cv;
-    ShardScratch scratch;
-  };
-
-  struct ShardPipes {
-    std::atomic<bool> stop{false};
-    std::deque<ShardPipe> pipes;  // deque: ShardPipe is not movable
-  };
-
-  /// \brief Interns `key` for `qs` (legacy mode), creating its run and match
-  /// bucket on first use. `appender` must be qs.matches' live batch appender,
-  /// or nullptr when the caller does not hold the table lock (per-event path).
-  uint32_t InternKey(QueryState& qs, std::string_view key, uint64_t hash,
-                     MatchTable::Appender* appender);
-
   /// Deduplicated index of (type, attr); appends a new spec if unseen.
   uint16_t SpecIndexFor(EventTypeId type, size_t attr);
 
@@ -306,45 +225,25 @@ class CepEngine : public EventSink {
   void AssignMergePlan(QueryId id, bool force_singleton);
 
   /// Fills prep_ with one (view, hash) per (spec, event) for this batch.
-  void PrepareBatchKeys(const EventBatch& batch);
+  void PrepareBatchKeys(std::span<const Event> batch);
 
   /// Rebuilds classes_by_type_ from route_classes_ when stale.
   void RebuildRouteIndex();
 
-  /// Legacy mode: evaluates queries `shard, shard + stride, ...` over the
-  /// whole batch.
-  void ProcessShard(const EventBatch& batch, size_t shard, size_t stride,
-                    ShardScratch* scratch);
+  /// \brief Stream-order routing of one group's relevant events: interns
+  /// keys, creates runs/buckets on first sight, and fills items_ with one
+  /// WorkItem per (event, run).
+  void RouteGroupBatch(MergeGroup& g, std::span<const Event> batch);
 
-  // ---- merged mode ----
-
-  void OnEventMerged(const Event& event);
-  void IngestBatchMerged(const EventBatch& batch);
-
-  /// \brief Single-threaded, stream-order routing of one group's relevant
-  /// events: interns keys, creates runs/buckets on first sight, and appends
-  /// one WorkItem per (event, run) to the owning shard's list in
-  /// `per_shard` (already sized to the shard count).
-  void RouteGroupBatch(MergeGroup& g, const EventBatch& batch,
-                       std::vector<std::vector<WorkItem>>* per_shard);
-
-  /// Interns `key` into group `g` (router thread only): creates the SharedRun
-  /// and registers the partition's bucket in every member table on first use.
+  /// Interns `key` into group `g`: creates the SharedRun and registers the
+  /// partition's bucket in every member table on first use.
   uint32_t InternGroupKey(MergeGroup& g, std::string_view key, uint64_t hash);
 
-  /// The shard owning (group, run) — a pure function, so ownership is stable
-  /// across batches and identical for every shard count's decomposition.
-  static size_t ShardOf(uint32_t group, uint32_t run, size_t num_shards);
+  /// Evaluates the routed items_ of group `g`: steps its shared runs, appends
+  /// rows to every table class and, with a callback set, buffers notes.
+  void ProcessGroup(MergeGroup& g, std::span<const Event> batch);
 
-  /// \brief Evaluates one routed block. Runs on a shard worker (or inline
-  /// when single-sharded); touches only the block's group, the batch, and
-  /// `scratch` — never the engine — so it is race-free by ownership.
-  static void ProcessMergedBlock(const WorkBlock& block, ShardScratch* scratch);
-
-  void EnsurePipes(size_t shards);
-  void StopPipes();
-
-  /// Merges per-shard notes into (event, query) order and fires callbacks.
+  /// Sorts the batch's notes into (event, query) order and fires callbacks.
   void DispatchNotifications();
 
   const EventTypeRegistry* registry_;  // not owned
@@ -356,9 +255,6 @@ class CepEngine : public EventSink {
   std::vector<ExtractorSpec> specs_;
   std::vector<std::vector<uint16_t>> specs_by_type_;  ///< type -> spec indices
   uint64_t empty_key_hash_ = PartitionKeyHash({});
-  std::string serial_key_scratch_;  ///< OnEvent: reused numeric-key buffer
-  MatchRow serial_row_scratch_;     ///< OnEvent: reused run output row
-  std::vector<PendingNote> serial_notes_;  ///< OnEvent merged: per-event notes
 
   // Route classes: queries with identical route tables share one class, and
   // each batch computes the class's relevant-event index list once — so 1000
@@ -372,19 +268,15 @@ class CepEngine : public EventSink {
   std::vector<std::vector<uint32_t>> class_events_;    ///< class -> event idxs
 
   // Multi-query merge plan.
-  bool merge_enabled_ = true;
   MergePlanner planner_;
   std::vector<std::unique_ptr<MergeGroup>> groups_;
 
-  // Batched-ingest machinery (buffers reused across batches).
-  size_t num_shards_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  ///< legacy (merge-off) fork/join pool
-  std::unique_ptr<ShardPipes> pipes_; ///< merged-mode shard pipeline
+  // Per-batch buffers, reused across batches.
   std::vector<std::vector<PrepKey>> prep_;           ///< per spec, per event
   std::vector<std::vector<std::string>> prep_keys_;  ///< numeric keys storage
-  std::vector<ShardScratch> scratch_;
-  std::vector<std::vector<WorkItem>> route_items_;   ///< router per-shard lists
-  std::vector<PendingNote> merged_notes_;
+  std::vector<WorkItem> items_;                      ///< one group's routed work
+  MatchRow row_;                                     ///< per-residue row build
+  std::vector<PendingNote> notes_;                   ///< whole batch
 };
 
 }  // namespace exstream

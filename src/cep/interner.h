@@ -4,14 +4,14 @@
 // std::string in an unordered_map — one string allocation plus one string
 // hash per query per event. The interner replaces that with a single
 // open-addressing probe over precomputed 64-bit hashes: the batch layer
-// hashes each event's partition key once, and every query reuses that hash
-// to intern the key into its own dense id space. Ids index flat vectors
-// (QueryRun slots, match-table buckets), and interned key storage is a deque
+// hashes each event's partition key once, and every merge group reuses that
+// hash to intern the key into its own dense id space. Ids index flat vectors
+// (SharedRun slots, match-table buckets), and interned key storage is a deque
 // so the string_views handed out (e.g. in MatchNotification) stay valid for
 // the engine's lifetime.
 //
 // Ids are assigned in first-intern order, so for a fixed event order the
-// id assignment is deterministic regardless of how work is sharded.
+// id assignment is deterministic regardless of how the stream is batched.
 
 #pragma once
 

@@ -20,7 +20,8 @@ size_t MatchTable::FindLocked(std::string_view partition) const {
   return it == index_.end() ? buckets_.size() : it->second;
 }
 
-uint32_t MatchTable::EnsureBucketLocked(std::string_view partition) {
+uint32_t MatchTable::EnsureBucket(std::string_view partition) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(partition);
   if (it != index_.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(buckets_.size());
@@ -30,21 +31,12 @@ uint32_t MatchTable::EnsureBucketLocked(std::string_view partition) {
   return id;
 }
 
-uint32_t MatchTable::EnsureBucket(std::string_view partition) {
+void MatchTable::Append(uint32_t bucket, const MatchRow& row) {
   std::lock_guard<std::mutex> lock(mu_);
-  return EnsureBucketLocked(partition);
-}
-
-void MatchTable::AppendLocked(uint32_t bucket, const MatchRow& row) {
   Bucket& b = buckets_[bucket];
   b.ts.push_back(row.ts);
   b.cells.insert(b.cells.end(), row.values.begin(), row.values.end());
   b.ends.push_back(static_cast<uint32_t>(b.cells.size()));
-}
-
-void MatchTable::Append(uint32_t bucket, const MatchRow& row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(bucket, row);
 }
 
 void MatchTable::Append(const std::string& partition, const MatchRow& row) {
@@ -60,24 +52,15 @@ void MatchTable::MarkComplete(const std::string& partition) {
   MarkComplete(EnsureBucket(partition));
 }
 
-std::vector<std::unique_lock<std::mutex>> MatchTable::LockAllStripes() const {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(kNumStripes);
-  for (std::mutex& m : stripe_mu_) locks.emplace_back(m);
-  return locks;
-}
-
 bool MatchTable::IsComplete(const std::string& partition) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t i = FindLocked(partition);
   if (i >= buckets_.size()) return false;
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   return buckets_[i].complete;
 }
 
 std::vector<std::string> MatchTable::Partitions() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto stripes = LockAllStripes();
   std::vector<std::string> out;
   out.reserve(buckets_.size());
   for (const Bucket& b : buckets_) {
@@ -93,7 +76,6 @@ std::vector<MatchRow> MatchTable::Rows(const std::string& partition) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t i = FindLocked(partition);
   if (i >= buckets_.size()) return {};
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   const Bucket& b = buckets_[i];
   std::vector<MatchRow> out(b.ts.size());
   for (size_t r = 0; r < b.ts.size(); ++r) {
@@ -109,13 +91,11 @@ size_t MatchTable::NumRows(const std::string& partition) const {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t i = FindLocked(partition);
   if (i >= buckets_.size()) return 0;
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   return buckets_[i].ts.size();
 }
 
 size_t MatchTable::TotalRows() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto stripes = LockAllStripes();
   size_t n = 0;
   for (const Bucket& b : buckets_) n += b.ts.size();
   return n;
@@ -129,7 +109,6 @@ Result<TimeSeries> MatchTable::ExtractSeries(const std::string& partition,
   if (i >= buckets_.size()) {
     return Status::NotFound("no match rows for partition '" + partition + "'");
   }
-  std::lock_guard<std::mutex> stripe(StripeFor(static_cast<uint32_t>(i)));
   const Bucket& b = buckets_[i];
   TimeSeries out;
   for (size_t r = 0; r < b.ts.size(); ++r) {
@@ -142,7 +121,6 @@ Result<TimeSeries> MatchTable::ExtractSeries(const std::string& partition,
 
 void MatchTable::SaveState(BytesWriter* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto stripes = LockAllStripes();
   out->Put<uint32_t>(static_cast<uint32_t>(buckets_.size()));
   for (const Bucket& b : buckets_) {
     out->PutString(b.key);

@@ -6,8 +6,7 @@
 //
 // Storage is bucketed by interned partition id: the engine registers each
 // partition once (EnsureBucket) and then appends rows by dense id — no
-// string hashing or map walk per row, and a whole batch of rows goes in
-// under one lock acquisition. Inside a bucket the rows are stored
+// string hashing or map walk per row. Inside a bucket the rows are stored
 // column-flat (one timestamp vector plus one row-major cell vector), so an
 // append never allocates a per-row values vector and ExtractSeries — the
 // visualization read path — is a strided scan. The string-keyed read API
@@ -16,7 +15,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -60,76 +58,6 @@ class MatchTable {
 
   /// String-keyed append (convenience for tests / non-hot-path callers).
   void Append(const std::string& partition, const MatchRow& row);
-
-  /// \brief RAII batch appender: holds the table lock so one batch's worth of
-  /// bucket registrations, row appends, and completions goes in with a single
-  /// lock acquisition and a single copy per row (straight into bucket
-  /// storage, no staging). Concurrent readers block until it is destroyed —
-  /// a bounded, one-batch-scan wait. At most one Appender per table at a
-  /// time; do not call the locking MatchTable methods while one is alive.
-  class Appender {
-   public:
-    explicit Appender(MatchTable* table) : table_(table), lock_(table->mu_) {}
-
-    uint32_t EnsureBucket(std::string_view partition) {
-      return table_->EnsureBucketLocked(partition);
-    }
-
-    void Append(uint32_t bucket, const MatchRow& row) {
-      table_->AppendLocked(bucket, row);
-    }
-
-    /// \brief Two-phase direct append: BeginRow pushes the timestamp and
-    /// hands back the bucket's cell vector for the caller to push values
-    /// onto; EndRow seals the row. No intermediate row object, no cell copy.
-    std::vector<Value>* BeginRow(uint32_t bucket, Timestamp ts) {
-      Bucket& b = table_->buckets_[bucket];
-      b.ts.push_back(ts);
-      return &b.cells;
-    }
-
-    void EndRow(uint32_t bucket) {
-      Bucket& b = table_->buckets_[bucket];
-      b.ends.push_back(static_cast<uint32_t>(b.cells.size()));
-    }
-
-    void MarkComplete(uint32_t bucket) { table_->buckets_[bucket].complete = true; }
-
-   private:
-    MatchTable* table_;  // not owned
-    std::lock_guard<std::mutex> lock_;
-  };
-
-  /// \brief Concurrent row appender for the merged shard pipeline: multiple
-  /// shard workers write disjoint buckets of the same table at once, so rows
-  /// go in under per-bucket stripe locks instead of the table lock.
-  ///
-  /// Preconditions (the engine's routing invariants): the bucket was
-  /// registered via EnsureBucket *before* the work referencing it was handed
-  /// to any shard, each bucket is written by at most one shard, and EnsureBucket
-  /// is not called on this table while ShardAppenders are writing it. Readers
-  /// stay safe concurrently — the locking read API takes the stripe locks too.
-  class ShardAppender {
-   public:
-    explicit ShardAppender(MatchTable* table) : table_(table) {}
-
-    /// Appends one sealed row (timestamp + `n` cells) to `bucket`.
-    void AppendRow(uint32_t bucket, Timestamp ts, const Value* values, size_t n) {
-      std::lock_guard<std::mutex> lock(table_->StripeFor(bucket));
-      Bucket& b = table_->buckets_[bucket];
-      b.ts.push_back(ts);
-      b.cells.insert(b.cells.end(), values, values + n);
-      b.ends.push_back(static_cast<uint32_t>(b.cells.size()));
-    }
-
-    void MarkComplete(uint32_t bucket) {
-      std::lock_guard<std::mutex> lock(table_->StripeFor(bucket));
-      table_->buckets_[bucket].complete = true;
-    }
-
-   private:
-    MatchTable* table_;  // not owned
-  };
 
   /// Marks a partition's pattern match as completed (JobEnd seen).
   void MarkComplete(uint32_t bucket);
@@ -180,22 +108,8 @@ class MatchTable {
   /// Bucket index for `partition`, or buckets_.size() if absent. Caller locks.
   size_t FindLocked(std::string_view partition) const;
 
-  uint32_t EnsureBucketLocked(std::string_view partition);
-  void AppendLocked(uint32_t bucket, const MatchRow& row);
-
-  static constexpr size_t kNumStripes = 32;
-  std::mutex& StripeFor(uint32_t bucket) const {
-    return stripe_mu_[bucket % kNumStripes];
-  }
-  /// Locks every stripe (ascending, after mu_) for whole-table reads that
-  /// must not race concurrent ShardAppenders.
-  std::vector<std::unique_lock<std::mutex>> LockAllStripes() const;
-
   std::vector<std::string> column_names_;
   mutable std::mutex mu_;
-  /// Per-bucket row-data locks for the concurrent ShardAppender path. Lock
-  /// order: mu_ before any stripe, stripes in ascending index order.
-  mutable std::array<std::mutex, kNumStripes> stripe_mu_;
   std::deque<Bucket> buckets_;  // deque: bucket.key views in index_ never move
   std::unordered_map<std::string_view, uint32_t, StringViewHash, std::equal_to<>>
       index_;  // views into buckets_[i].key

@@ -273,21 +273,14 @@ void QueryRun::BuildRow(const Event& trigger, MatchRow* out) const {
   AppendRowValues(trigger, &out->values);
 }
 
-RunStepResult QueryRun::OnEvent(const Event& event) {
-  MatchRow row;
-  RunStepResult result = OnEvent(event, &row);
-  result.row = std::move(row);
-  return result;
-}
-
 RunStepResult QueryRun::OnEvent(const Event& event, MatchRow* row) {
-  RunStepResult result = OnEventDeferred(event);
+  RunStepResult result = Step(event);
   if (result.emitted_row) BuildRow(event, row);
   if (result.match_complete) Reset();
   return result;
 }
 
-RunStepResult QueryRun::OnEventDeferred(const Event& event) {
+RunStepResult QueryRun::Step(const Event& event) {
   RunStepResult result;
   const size_t num_components = cq_->components_.size();
   const bool run_active = kleene_active_ || last_positive_ >= 0;

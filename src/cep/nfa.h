@@ -95,13 +95,14 @@ struct RunStepResult {
   bool consumed = false;        ///< the event advanced or extended the run
   bool emitted_row = false;     ///< a match row was produced
   bool match_complete = false;  ///< the full pattern completed (run resets)
-  MatchRow row;                 ///< valid when emitted_row (convenience overload)
 };
 
 /// \brief The matching state of one partition of one query.
 ///
 /// Holds the bound single events, the kleene running aggregates, and the
-/// current NFA state. One event in, at most one row out.
+/// current NFA state. One event in, at most one row out. This is the
+/// per-query reference semantics: CepEngine's shared automata (shared_nfa.h)
+/// reproduce it exactly, and the tests' reference oracle runs it directly.
 class QueryRun {
  public:
   explicit QueryRun(const CompiledQuery* cq);
@@ -109,23 +110,7 @@ class QueryRun {
   /// \brief Feeds a partition-local event (type relevance already checked
   /// upstream). When the step emits a row it is written into `*row` — cleared
   /// and refilled, so a caller-reused MatchRow stops allocating after warm-up.
-  /// The result's own `row` member is left empty by this overload.
   RunStepResult OnEvent(const Event& event, MatchRow* row);
-
-  /// Convenience overload returning the emitted row inside the result.
-  RunStepResult OnEvent(const Event& event);
-
-  /// \brief Advances the run WITHOUT building a row or resetting on
-  /// completion. When the result says emitted_row, the caller harvests the
-  /// values via AppendRowValues (the pre-reset state is intact) and, when
-  /// match_complete, must call Reset() itself. This lets the batched engine
-  /// write RETURN values straight into match-table storage with zero
-  /// intermediate copies.
-  RunStepResult OnEventDeferred(const Event& event);
-
-  /// Appends the RETURN-clause values for `trigger` onto `*out`, in column
-  /// order. Only valid right after an OnEventDeferred that emitted a row.
-  void AppendRowValues(const Event& trigger, std::vector<Value>* out) const;
 
   /// Resets to the initial state.
   void Reset();
@@ -149,11 +134,17 @@ class QueryRun {
     size_t count = 0;
   };
 
+  /// Advances the run without building a row or resetting on completion;
+  /// OnEvent then builds the row from the intact pre-reset state.
+  RunStepResult Step(const Event& event);
+
   bool TryAdvance(const Event& event, size_t component_idx);
   void AbsorbKleene(const Event& event);
   /// Writes the RETURN-clause row for `trigger` into `*out` (values cleared
   /// and refilled in place).
   void BuildRow(const Event& trigger, MatchRow* out) const;
+  /// Appends the RETURN-clause values for `trigger` onto `*out`.
+  void AppendRowValues(const Event& trigger, std::vector<Value>* out) const;
   /// Index of the first non-negated component at or after `from`
   /// (components.size() if none).
   size_t NextPositiveIndex(size_t from) const;

@@ -220,7 +220,7 @@ void SharedRun::SaveMemberView(uint32_t residue, BytesWriter* out) const {
   for (size_t c = 0; c < bound_.size(); ++c) {
     if (c == kleene_idx && nfa_->kleene_bound_needed_ && !member_stores_kleene) {
       // This member's own QueryRun would have left the slot empty; writing
-      // the group's copy would desync the byte format from unmerged saves.
+      // the group's copy would desync the byte format from QueryRun's.
       PutEvent(out, Event{});
     } else {
       PutEvent(out, bound_[c]);

@@ -17,9 +17,9 @@
 // (tests/query_merge_test.cc, tests/ingest_differential_test.cc).
 //
 // Checkpoint compatibility: SaveMemberView serializes the state one member's
-// QueryRun would have held, byte-identical to QueryRun::SaveState, so
-// snapshots round-trip between merged and unmerged engines in either
-// direction.
+// QueryRun would have held, byte-identical to QueryRun::SaveState, so engine
+// snapshots equal the per-query reference oracle's and round-trip with it in
+// either direction.
 
 #pragma once
 
@@ -102,7 +102,7 @@ class SharedRun {
   explicit SharedRun(const SharedNfa* nfa);
 
   /// \brief Advances the run without building rows or resetting on
-  /// completion (the OnEventDeferred contract): the caller harvests rows per
+  /// completion (like QueryRun::Step): the caller harvests rows per
   /// residue via AppendRowValues while the pre-reset state is intact, then
   /// calls Reset() itself when match_complete.
   SharedStepResult Step(const Event& event);

@@ -16,16 +16,14 @@ IncrementalFeatureState::IncrementalFeatureState(const EventTypeRegistry* regist
   }
 }
 
-void IncrementalFeatureState::OnEvent(const Event& event) {
-  if (event.type >= tails_.size()) return;
-  TypeTail& tail = *tails_[event.type];
-  std::lock_guard<std::mutex> lock(tail.mu);
-  Ingest(&tail, event);
-  EvictLocked(&tail);
-}
-
 void IncrementalFeatureState::OnEventBatch(const EventBatch& batch) {
-  for (const Event& event : batch) OnEvent(event);
+  for (const Event& event : batch) {
+    if (event.type >= tails_.size()) continue;
+    TypeTail& tail = *tails_[event.type];
+    std::lock_guard<std::mutex> lock(tail.mu);
+    Ingest(&tail, event);
+    EvictLocked(&tail);
+  }
 }
 
 void IncrementalFeatureState::MarkExternalData() {

@@ -28,7 +28,7 @@ namespace exstream {
 
 /// \brief Per-event-type recent columnar tails with coverage accounting.
 ///
-/// Thread model: one applying thread calls OnEvent/OnEventBatch; any number
+/// Thread model: one applying thread calls OnEventBatch; any number
 /// of explanation threads call ScanRecent/ScanWithBackfill concurrently.
 /// State is sharded per type with one mutex each, so an Explain snapshotting
 /// one type's tail never stalls ingest of another type.
@@ -41,9 +41,8 @@ class IncrementalFeatureState {
   explicit IncrementalFeatureState(const EventTypeRegistry* registry,
                                    Timestamp retention = 0);
 
-  /// Ingest hooks (applying thread). Must see exactly the events the archive
+  /// Ingest hook (applying thread). Must see exactly the events the archive
   /// sees, in the same order — XStreamSystem::ApplyBatch feeds both.
-  void OnEvent(const Event& event);
   void OnEventBatch(const EventBatch& batch);
 
   /// \brief Declares that the archive holds data this state never saw

@@ -179,15 +179,6 @@ EventBatch IngestGuard::Admit(EventBatch batch) {
   return out;
 }
 
-bool IngestGuard::AdmitOne(const Event& event) {
-  RejectReason why;
-  if (options_.validate && !Validate(event, &why)) {
-    Reject(event, why);
-    return false;
-  }
-  return true;
-}
-
 EventBatch IngestGuard::Drain() {
   std::stable_sort(buffer_.begin(), buffer_.end(), TimestampOrder);
   EventBatch out = std::move(buffer_);

@@ -85,10 +85,6 @@ class IngestGuard {
   /// events from earlier batches and withholding recent ones.
   EventBatch Admit(EventBatch batch);
 
-  /// Single-event fast path: returns false if the event was rejected. Only
-  /// valid without a lateness slack (no buffer to hold the event).
-  bool AdmitOne(const Event& event);
-
   /// Releases everything still buffered (stream end / checkpoint), sorted,
   /// and flushes any partial reject log.
   EventBatch Drain();

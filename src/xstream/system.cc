@@ -135,32 +135,7 @@ void XStreamSystem::BindDetector(QueryId query, const std::string& name) {
   }
 }
 
-void XStreamSystem::OnEvent(const Event& event) {
-  // With reordering, logging, or queueing active the single event must flow
-  // through the shared release pipeline; otherwise keep the zero-copy
-  // per-event fast path (validation only).
-  if (config_.guard.lateness_slack.has_value() || wal_ != nullptr ||
-      config_.overload.queue_capacity > 0) {
-    EventBatch batch;
-    batch.push_back(event);
-    OnEventBatch(std::move(batch));
-    return;
-  }
-  if (config_.guard.validate && !guard_.AdmitOne(event)) return;
-  ++next_seq_;
-  Stopwatch timer;
-  engine_.OnEvent(event);
-  if (incremental_ != nullptr) incremental_->OnEvent(event);
-  archive_.OnEvent(event);
-  const double elapsed = timer.ElapsedSeconds();
-  if (explanations_running_.load(std::memory_order_relaxed) > 0) {
-    busy_latency_.Add(elapsed);
-  } else {
-    idle_latency_.Add(elapsed);
-  }
-  data_watermark_.store(next_seq_, std::memory_order_release);
-  if (detector_ != nullptr) ForwardDetectorAnomalies();
-}
+void XStreamSystem::OnEvent(const Event& event) { OnEventBatch(EventBatch{event}); }
 
 void XStreamSystem::OnEventBatch(EventBatch batch) {
   if (batch.empty()) return;

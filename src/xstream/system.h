@@ -111,9 +111,7 @@ struct XStreamConfig {
   /// Explanation pipeline knobs; `explain.num_threads` sizes the worker pool
   /// every Explain/ExplainAsync call analyzes with (1 = serial).
   ExplainOptions explain;
-  /// CEP ingestion knobs; `ingest.ingest_threads` shards batched ingest over
-  /// a worker pool (1 = serial batched, 0 = hardware concurrency). Results
-  /// are bit-identical for any value.
+  /// CEP engine options (cep/engine.h).
   CepEngineOptions ingest;
   /// Front-end validation / lateness tolerance / reject quarantine.
   IngestGuardOptions guard;
@@ -140,13 +138,12 @@ class XStreamSystem : public EventSink {
   /// Registers a monitoring query (Fig. 3 syntax).
   Result<QueryId> AddQuery(std::string_view text, std::string name);
 
-  /// EventSink: routes one event through the engine and the archive,
-  /// recording its processing latency.
+  /// EventSink: a batch of one through OnEventBatch.
   void OnEvent(const Event& event) override;
 
   /// \brief EventSink: the batched throughput path. The guard filters the
-  /// batch, the WAL logs what survived, then the engine evaluates it
-  /// (possibly sharded over its ingest pool) and the archive takes ownership
+  /// batch, the WAL logs what survived, then the engine evaluates it and
+  /// the archive takes ownership
   /// of the events — no per-event copy. Latency histograms record the
   /// per-event average of each batch.
   void OnEventBatch(EventBatch batch) override;

@@ -1,9 +1,16 @@
 // Stress and consistency tests of the CEP engine: many concurrent queries,
-// many interleaved partitions, and agreement between replicated queries.
+// many interleaved partitions, agreement between replicated queries, and
+// (meant for TSan) MatchTable readers, checkpoints and an Explain running
+// while batches are ingested.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "cep/engine.h"
+#include "cep_compare.h"
+#include "cep_oracle.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "sim/hadoop_sim.h"
@@ -116,8 +123,8 @@ TEST_F(EngineStressTest, EventCountingAndRelevance) {
 }
 
 TEST_F(EngineStressTest, BatchedIngestManyQueriesMatchesSequential) {
-  // 64 replicas sharded over 4 ingest threads must agree with the serial
-  // per-event engine — the sharded flavor of ReplicatedQueriesAgree.
+  // 64 replicas ingested in batches must agree with a single query fed per
+  // event — the batched flavor of ReplicatedQueriesAgree.
   const auto stream = RandomStream(5, 10, 5000);
 
   CepEngine serial(&registry_);
@@ -125,9 +132,7 @@ TEST_F(EngineStressTest, BatchedIngestManyQueriesMatchesSequential) {
   for (const Event& e : stream) serial.OnEvent(e);
   const MatchTable& reference = serial.match_table(0);
 
-  CepEngineOptions options;
-  options.ingest_threads = 4;
-  CepEngine engine(&registry_, options);
+  CepEngine engine(&registry_);
   std::vector<QueryId> ids;
   for (int i = 0; i < 64; ++i) {
     auto qid = engine.AddQueryText(kQuery, StrFormat("Q%d", i));
@@ -157,15 +162,15 @@ TEST_F(EngineStressTest, BatchedIngestManyQueriesMatchesSequential) {
 }
 
 TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
-  // End-to-end race test (meant for TSan): sharded batched ingestion keeps
-  // feeding the system while an explanation analysis scans the archive.
+  // End-to-end race test (meant for TSan): batched ingestion keeps feeding
+  // the system while an explanation analysis scans the archive, and a
+  // checkpoint is taken mid-stream with the analysis still in flight.
   EventTypeRegistry registry;
   ASSERT_TRUE(HadoopClusterSim::RegisterEventTypes(&registry).ok());
 
   XStreamConfig config;
   config.explain.feature_space.windows = {10};
   config.explain.num_threads = 2;
-  config.ingest.ingest_threads = 4;
   XStreamSystem system(&registry, config);
 
   constexpr char kQ1[] =
@@ -192,7 +197,7 @@ TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
   anomaly.start = 60;
   anomaly.end = 300;
   sim.AddAnomaly(anomaly);
-  ASSERT_TRUE(sim.Run(&system).ok());  // ReplayMove: batched + sharded ingest
+  ASSERT_TRUE(sim.Run(&system).ok());  // ReplayMove: batched ingest
   ASSERT_GT(system.engine().match_table(ids[0]).NumRows("job-x"), 50u);
   ASSERT_TRUE(system.IndexPartitions(ids[0], {{"program", "p"}}).ok());
 
@@ -205,6 +210,7 @@ TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
   // metric events (ts past the simulated horizon, so archive order holds).
   const EventTypeId cpu = *registry.IdOf("CpuUsage");
   const EventTypeId mem = *registry.IdOf("MemUsage");
+  const std::string dir = ::testing::TempDir() + "/engine_stress_ckpt";
   Timestamp ts = 1000000;
   for (int round = 0; round < 40; ++round) {
     EventBatch batch;
@@ -218,6 +224,12 @@ TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
                                     100.0));
     }
     system.OnEventBatch(std::move(batch));
+    if (round == 15) {
+      // Mid-stream, explanation still in flight: the checkpoint drains the
+      // ingest queue and serializes engine + merged-run state.
+      const Status st = system.Checkpoint(dir);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
   }
 
   auto report = future.get();
@@ -228,6 +240,104 @@ TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
   for (const QueryId id : ids) {
     EXPECT_EQ(system.engine().match_table(id).TotalRows(),
               system.engine().match_table(ids[0]).TotalRows());
+  }
+
+  // The checkpoint a concurrent run produced must recover cleanly (same
+  // queries added in the same order first, per the Recover contract).
+  XStreamSystem recovered(&registry, config);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(recovered.AddQuery(kQ1, StrFormat("Q%d", i)).ok());
+  }
+  auto recovery = recovered.Recover(dir);
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  EXPECT_TRUE(recovery->manifest_loaded);
+  EXPECT_EQ(recovered.engine().match_table(ids[0]).NumRows("job-x"),
+            system.engine().match_table(ids[0]).NumRows("job-x"));
+}
+
+TEST_F(EngineStressTest, ReadersAndCheckpointsDuringBatchedIngest) {
+  // MatchTable readers (the Explain access pattern) and engine snapshots at
+  // batch boundaries run while batches are ingested; afterwards the callback
+  // sequence, the tables and every snapshot must equal the oracle's.
+  constexpr char kVariant[] =
+      "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
+      "RETURN (b[i].timestamp, a.job, count(b[1..i].size))";
+  std::vector<std::string> queries;
+  for (int q = 0; q < 12; ++q) queries.push_back(q % 3 == 2 ? kVariant : kQuery);
+  const auto stream = RandomStream(13, 24, 30000);
+  constexpr size_t kBatch = 256;
+  auto snapshot_due = [](size_t batch_index) { return batch_index % 16 == 5; };
+
+  CepCapture want;
+  std::vector<std::string> want_snapshots;
+  {
+    CepOracle oracle(&registry_);
+    AddQueries(&oracle, queries);
+    oracle.SetMatchCallback([&want](const MatchNotification& n) {
+      want.notes.push_back(NoteCopy::From(n));
+    });
+    for (size_t i = 0; i < stream.size(); ++i) {
+      oracle.OnEvent(stream[i]);
+      const bool batch_end = (i + 1) % kBatch == 0 || i + 1 == stream.size();
+      if (batch_end && snapshot_due(i / kBatch)) {
+        BytesWriter w;
+        oracle.SaveState(&w);
+        want_snapshots.push_back(w.Take());
+      }
+    }
+    CaptureState(oracle, &want);
+  }
+  ASSERT_FALSE(want.notes.empty());
+
+  CepCapture got;
+  CepEngine engine(&registry_);
+  AddQueries(&engine, queries);
+  engine.SetMatchCallback([&got](const MatchNotification& n) {
+    got.notes.push_back(NoteCopy::From(n));
+  });
+  std::atomic<bool> done{false};
+  std::atomic<size_t> rows_seen{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&engine, &done, &rows_seen, r] {
+      size_t local = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const MatchTable& table = engine.match_table(static_cast<QueryId>(r == 0 ? 0 : 2));
+        for (const std::string& partition : table.Partitions()) {
+          local += table.Rows(partition).size();
+          (void)table.IsComplete(partition);
+        }
+        (void)table.TotalRows();
+      }
+      rows_seen.fetch_add(local, std::memory_order_relaxed);
+    });
+  }
+  std::vector<std::string> snapshots;
+  for (size_t i = 0, batch_index = 0; i < stream.size(); i += kBatch, ++batch_index) {
+    const size_t end = std::min(stream.size(), i + kBatch);
+    engine.IngestBatch(std::span<const Event>(stream).subspan(i, end - i));
+    if (snapshot_due(batch_index)) {
+      BytesWriter w;
+      engine.SaveState(&w);
+      snapshots.push_back(w.Take());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(rows_seen.load(), 0u);
+
+  CaptureState(engine, &got);
+  ExpectSameCapture(want, got, "concurrent readers");
+  ASSERT_GE(snapshots.size(), 2u);
+  ASSERT_EQ(snapshots.size(), want_snapshots.size());
+  for (size_t s = 0; s < snapshots.size(); ++s) {
+    EXPECT_TRUE(snapshots[s] == want_snapshots[s]) << "snapshot #" << s;
+    // Every mid-stream snapshot restores into a fresh engine.
+    CepEngine restored(&registry_);
+    AddQueries(&restored, queries);
+    BytesReader reader(snapshots[s]);
+    const Status st = restored.RestoreState(&reader);
+    ASSERT_TRUE(st.ok()) << "snapshot #" << s << ": " << st.ToString();
   }
 }
 

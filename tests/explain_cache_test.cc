@@ -82,7 +82,9 @@ TEST(ExplainCacheTest, SingleFlightDedupesConcurrentCallers) {
   for (size_t t = 0; t < results.size(); ++t) {
     threads.emplace_back([&, t] { results[t] = cache.GetOrCompute("k", slow); });
   }
-  while (computed.load() == 0) std::this_thread::yield();
+  // Release the computation only once the other three callers have joined
+  // it; releasing earlier lets a late caller find a cached result instead.
+  while (cache.stats().single_flight_waits < 3) std::this_thread::yield();
   release.store(true);
   for (auto& t : threads) t.join();
   EXPECT_EQ(computed.load(), 1);

@@ -27,7 +27,7 @@ class IncrementalFeatureTest : public ::testing::Test {
   void Feed(EventArchive* archive, IncrementalFeatureState* state,
             const Event& e) {
     ASSERT_TRUE(archive->Append(e).ok());
-    state->OnEvent(e);
+    state->OnEventBatch({e});
   }
 
   // Collects (ts, value-tag) rows from a view in segment order.
@@ -99,7 +99,7 @@ TEST_F(IncrementalFeatureTest, OutOfOrderPoisonsTail) {
   for (Timestamp t = 0; t < 8; ++t) Feed(&archive, &state, MakeA(t, 1.0));
   // ts 5 lands at a chunk boundary: archive accepts it out of order.
   ASSERT_TRUE(archive.Append(MakeA(5, 2.0)).ok());
-  state.OnEvent(MakeA(5, 2.0));
+  state.OnEventBatch({MakeA(5, 2.0)});
   EXPECT_EQ(state.stats().disorder_resets, 1u);
   for (Timestamp t = 8; t < 20; ++t) Feed(&archive, &state, MakeA(t, 1.0));
 

@@ -1,19 +1,30 @@
-// Differential test of the batched / sharded ingestion path.
+// Differential tests of CepEngine against the per-query reference oracle
+// (tests/cep_oracle.h).
 //
-// Contract under test (see cep/engine.h): for ANY batch split and ANY
-// ingest_threads value, OnEventBatch must produce MatchTables and a match
-// callback sequence bit-identical to per-event sequential OnEvent. The
-// streams include adversarial partition-key skew — one hot key (every event
-// in the same partition: zero sharding parallelism inside a query) and
-// all-unique keys (every completion is a fresh partition: maximal interner
-// churn) — plus the random mixed stream the stress test uses.
+// Contract under test (see cep/engine.h): for ANY batch split — per-event
+// OnEvent and batches of one included — the engine's MatchTables, match
+// callback sequence and SaveState bytes equal the oracle's, which evaluates
+// every query on its own, one QueryRun per partition, event by event.
+//
+// Two families:
+//  * fixed streams with adversarial partition-key skew — one hot key (every
+//    event in the same partition) and all-unique keys (every completion is a
+//    fresh partition: maximal interner churn) — plus a random mixed stream;
+//  * a property test over seeded random query sets (Kleene+, negation,
+//    WITHIN, predicates, string/int/absent partition attributes, replicas and
+//    residue-mates that merge, a mid-stream AddQuery) fed with random batch
+//    splits, which also restores an oracle-written snapshot into a fresh
+//    engine and checks that it continues identically.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cep/engine.h"
+#include "cep_compare.h"
+#include "cep_oracle.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -23,59 +34,6 @@ namespace {
 constexpr char kQuery[] =
     "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
     "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))";
-
-// A deep copy of one MatchNotification, safe to compare after the fact.
-struct NoteCopy {
-  QueryId query;
-  uint32_t partition_id;
-  std::string partition;
-  Timestamp ts;
-  std::vector<Value> values;
-  bool complete;
-
-  static NoteCopy From(const MatchNotification& n) {
-    return NoteCopy{n.query,  n.partition_id, std::string(n.partition),
-                    n.row.ts, n.row.values,   n.complete};
-  }
-  bool operator==(const NoteCopy& o) const {
-    return query == o.query && partition_id == o.partition_id &&
-           partition == o.partition && ts == o.ts && values == o.values &&
-           complete == o.complete;
-  }
-};
-
-// Snapshot of one query's match table: partition list order included.
-struct TableCopy {
-  std::vector<std::string> partitions;
-  std::vector<std::vector<MatchRow>> rows;
-  std::vector<bool> complete;
-
-  static TableCopy From(const MatchTable& t) {
-    TableCopy c;
-    c.partitions = t.Partitions();
-    for (const std::string& p : c.partitions) {
-      c.rows.push_back(t.Rows(p));
-      c.complete.push_back(t.IsComplete(p));
-    }
-    return c;
-  }
-};
-
-void ExpectTablesEqual(const TableCopy& a, const TableCopy& b,
-                       const std::string& label) {
-  ASSERT_EQ(a.partitions, b.partitions) << label;
-  ASSERT_EQ(a.complete, b.complete) << label;
-  for (size_t p = 0; p < a.partitions.size(); ++p) {
-    const auto& ra = a.rows[p];
-    const auto& rb = b.rows[p];
-    ASSERT_EQ(ra.size(), rb.size()) << label << " partition " << a.partitions[p];
-    for (size_t i = 0; i < ra.size(); ++i) {
-      ASSERT_EQ(ra[i].ts, rb[i].ts) << label << " " << a.partitions[p] << "#" << i;
-      ASSERT_EQ(ra[i].values, rb[i].values)
-          << label << " " << a.partitions[p] << "#" << i;
-    }
-  }
-}
 
 class IngestDifferentialTest : public ::testing::Test {
  protected:
@@ -152,95 +110,16 @@ class IngestDifferentialTest : public ::testing::Test {
     return events;
   }
 
-  // Runs `num_queries` replicas per-event and returns tables + notes.
-  // merge=false is the legacy per-query evaluator — the ground truth every
-  // other configuration (merged, batched, sharded) is compared against.
-  void RunSequential(const std::vector<Event>& stream, int num_queries, bool merge,
-                     std::vector<TableCopy>* tables, std::vector<NoteCopy>* notes) {
-    CepEngineOptions options;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
-    std::vector<QueryId> ids;
-    for (int q = 0; q < num_queries; ++q) {
-      auto qid = engine.AddQueryText(kQuery, StrFormat("Q%d", q));
-      ASSERT_TRUE(qid.ok());
-      ids.push_back(*qid);
-    }
-    engine.SetMatchCallback(
-        [notes](const MatchNotification& n) { notes->push_back(NoteCopy::From(n)); });
-    for (const Event& e : stream) engine.OnEvent(e);
-    for (const QueryId id : ids) tables->push_back(TableCopy::From(engine.match_table(id)));
-  }
-
-  // Runs the same replicas through OnEventBatch with the given sharding.
-  void RunBatched(const std::vector<Event>& stream, int num_queries,
-                  size_t ingest_threads, size_t batch_size, bool merge,
-                  std::vector<TableCopy>* tables, std::vector<NoteCopy>* notes) {
-    CepEngineOptions options;
-    options.ingest_threads = ingest_threads;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
-    std::vector<QueryId> ids;
-    for (int q = 0; q < num_queries; ++q) {
-      auto qid = engine.AddQueryText(kQuery, StrFormat("Q%d", q));
-      ASSERT_TRUE(qid.ok());
-      ids.push_back(*qid);
-    }
-    engine.SetMatchCallback(
-        [notes](const MatchNotification& n) { notes->push_back(NoteCopy::From(n)); });
-    for (size_t i = 0; i < stream.size(); i += batch_size) {
-      const size_t end = std::min(stream.size(), i + batch_size);
-      engine.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
-                                     stream.begin() + static_cast<ptrdiff_t>(end)));
-    }
-    EXPECT_EQ(engine.events_processed(), stream.size());
-    for (const QueryId id : ids) tables->push_back(TableCopy::From(engine.match_table(id)));
-  }
-
-  void CheckDifferential(const std::vector<Event>& stream, int num_queries,
+  // `queries` through the engine per event and at several batch sizes; every
+  // run must equal the oracle's.
+  void CheckDifferential(const std::vector<Event>& stream,
+                         const std::vector<std::string>& queries,
                          const std::string& stream_label) {
-    std::vector<TableCopy> ref_tables;
-    std::vector<NoteCopy> ref_notes;
-    RunSequential(stream, num_queries, /*merge=*/false, &ref_tables, &ref_notes);
-    ASSERT_FALSE(ref_notes.empty()) << stream_label << ": stream produced no matches";
-
-    auto compare = [&](const std::vector<TableCopy>& tables,
-                       const std::vector<NoteCopy>& notes,
-                       const std::string& label) {
-      ASSERT_EQ(tables.size(), ref_tables.size()) << label;
-      for (size_t q = 0; q < tables.size(); ++q) {
-        ExpectTablesEqual(ref_tables[q], tables[q], label);
-      }
-      ASSERT_EQ(notes.size(), ref_notes.size()) << label;
-      for (size_t i = 0; i < notes.size(); ++i) {
-        ASSERT_TRUE(notes[i] == ref_notes[i]) << label << " note #" << i;
-      }
-    };
-
-    // Merged sequential vs the legacy reference: the shared-NFA evaluator
-    // alone, no batching in play.
-    {
-      std::vector<TableCopy> tables;
-      std::vector<NoteCopy> notes;
-      RunSequential(stream, num_queries, /*merge=*/true, &tables, &notes);
-      compare(tables, notes, stream_label + " merged-sequential");
-    }
-
-    for (const bool merge : {true, false}) {
-      for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        for (const size_t batch : {size_t{1}, size_t{7}, size_t{512}}) {
-          // The legacy batched path needs one non-trivial config for
-          // coverage; the full grid belongs to the default (merged) mode.
-          if (!merge && (threads != 2 || batch != 7)) continue;
-          const std::string label =
-              StrFormat("%s merge=%d threads=%zu batch=%zu", stream_label.c_str(),
-                        merge, threads, batch);
-          std::vector<TableCopy> tables;
-          std::vector<NoteCopy> notes;
-          RunBatched(stream, num_queries, threads, batch, merge, &tables, &notes);
-          compare(tables, notes, label);
-        }
-      }
+    const CepCapture want = RunOracle(registry_, queries, stream);
+    ASSERT_FALSE(want.notes.empty()) << stream_label << ": stream produced no matches";
+    for (const size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{512}}) {
+      ExpectSameCapture(want, RunEngine(registry_, queries, stream, batch),
+                        StrFormat("%s batch=%zu", stream_label.c_str(), batch));
     }
   }
 
@@ -248,56 +127,286 @@ class IngestDifferentialTest : public ::testing::Test {
 };
 
 TEST_F(IngestDifferentialTest, MixedStreamBitIdentical) {
-  CheckDifferential(MixedStream(7, 20, 6000), 5, "mixed");
+  CheckDifferential(MixedStream(7, 20, 6000), std::vector<std::string>(5, kQuery),
+                    "mixed");
 }
 
 TEST_F(IngestDifferentialTest, HotKeyBitIdentical) {
-  CheckDifferential(HotKeyStream(4000), 5, "hot-key");
+  CheckDifferential(HotKeyStream(4000), std::vector<std::string>(5, kQuery), "hot-key");
 }
 
 TEST_F(IngestDifferentialTest, UniqueKeysBitIdentical) {
-  CheckDifferential(UniqueKeyStream(1500), 5, "unique-keys");
+  CheckDifferential(UniqueKeyStream(1500), std::vector<std::string>(5, kQuery),
+                    "unique-keys");
 }
 
-TEST_F(IngestDifferentialTest, SingleQueryMoreShardsThanQueries) {
-  // ingest_threads > num_queries: shards beyond the query count must idle
-  // harmlessly and the result stays identical.
-  CheckDifferential(MixedStream(11, 8, 2000), 1, "single-query");
+TEST_F(IngestDifferentialTest, SingleQuery) {
+  CheckDifferential(MixedStream(11, 8, 2000), {kQuery}, "single-query");
 }
 
 TEST_F(IngestDifferentialTest, UnpartitionedQueryBatched) {
   // A query with no WHERE [key] clause routes through the empty-key path.
-  constexpr char kUnpartitioned[] =
-      "PATTERN SEQ(Start a, Tick+ b[], End c) "
-      "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))";
-  const auto stream = HotKeyStream(1200);
+  CheckDifferential(HotKeyStream(1200),
+                    {"PATTERN SEQ(Start a, Tick+ b[], End c) "
+                     "RETURN (b[i].timestamp, a.job, sum(b[1..i].size))"},
+                    "unpartitioned");
+}
 
-  auto run = [&](size_t threads, size_t batch_size, bool batched,
-                 bool merge = true) {
-    CepEngineOptions options;
-    options.ingest_threads = threads;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
-    auto qid = engine.AddQueryText(kUnpartitioned, "U");
-    EXPECT_TRUE(qid.ok());
-    if (batched) {
-      for (size_t i = 0; i < stream.size(); i += batch_size) {
-        const size_t end = std::min(stream.size(), i + batch_size);
-        engine.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
-                                       stream.begin() + static_cast<ptrdiff_t>(end)));
-      }
-    } else {
-      for (const Event& e : stream) engine.OnEvent(e);
-    }
-    return TableCopy::From(engine.match_table(*qid));
+// ---------------------------------------------------------------------------
+// Property test: random query sets x random batch splits vs the oracle
+// ---------------------------------------------------------------------------
+
+// Event types of the property test; every type carries all three candidate
+// partition attributes (two strings, one integer).
+enum PropType : EventTypeId { kStart = 0, kTick = 1, kEnd = 2, kAlert = 3 };
+
+void RegisterPropTypes(EventTypeRegistry* registry) {
+  const std::vector<AttributeDef> keys = {{"job", ValueType::kString},
+                                          {"region", ValueType::kString},
+                                          {"node", ValueType::kInt64}};
+  auto with = [&](std::vector<AttributeDef> extra) {
+    std::vector<AttributeDef> attrs = keys;
+    attrs.insert(attrs.end(), extra.begin(), extra.end());
+    return attrs;
   };
+  ASSERT_TRUE(registry->Register(EventSchema("Start", keys)).ok());
+  ASSERT_TRUE(registry->Register(EventSchema("Tick", with({{"size", ValueType::kDouble}}))).ok());
+  ASSERT_TRUE(registry->Register(EventSchema("End", keys)).ok());
+  ASSERT_TRUE(
+      registry->Register(EventSchema("Alert", with({{"level", ValueType::kDouble}}))).ok());
+}
 
-  const TableCopy ref = run(1, 0, false, /*merge=*/false);  // legacy reference
-  ExpectTablesEqual(ref, run(1, 0, false), "unpartitioned merged per-event");
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ExpectTablesEqual(ref, run(threads, 64, true),
-                      StrFormat("unpartitioned threads=%zu", threads));
+std::vector<Event> RandomPropStream(Rng* rng, int num_events) {
+  std::vector<Event> events;
+  Timestamp ts = 0;
+  for (int i = 0; i < num_events; ++i) {
+    ts += rng->UniformInt(1, 4);
+    const int64_t r = rng->UniformInt(0, 99);
+    const EventTypeId type = r < 20 ? kStart : r < 65 ? kTick : r < 85 ? kEnd : kAlert;
+    std::vector<Value> values =
+        MakeValues(StrFormat("j%d", static_cast<int>(rng->UniformInt(0, 4))),
+                   StrFormat("r%d", static_cast<int>(rng->UniformInt(0, 1))),
+                   rng->UniformInt(0, 2));
+    if (type == kTick || type == kAlert) {
+      values.emplace_back(static_cast<double>(rng->UniformInt(0, 20)) / 2.0);
+    }
+    events.emplace_back(type, ts, std::move(values));
   }
+  return events;
+}
+
+// A random matching structure: pattern, partition attribute, predicates and
+// WITHIN. Queries built from the same head share a merge group unless the
+// head is unmergeable (negation).
+struct QueryHead {
+  int shape = 0;
+  std::string text;
+};
+
+QueryHead RandomHead(Rng* rng) {
+  static const char* const kShapes[] = {
+      "SEQ(Start a, Tick+ b[], End c)",          // kleene, streaming-capable
+      "SEQ(Start a, Tick+ b[], !Alert x, End c)",  // kleene + negation guard
+      "SEQ(Start a, !Alert x, End c)",           // negation, no kleene
+      "SEQ(Start a, End c)",                     // plain sequence
+      "SEQ(Start a, Tick+ b[])",                 // trailing kleene
+      "SEQ(Start a, Tick b, End c)",             // single Tick
+  };
+  static const char* const kPartitions[] = {"[job]", "[region]", "[node]", ""};
+  QueryHead head;
+  head.shape = static_cast<int>(rng->UniformInt(0, 5));
+  std::vector<std::string> where;
+  const std::string partition = kPartitions[rng->UniformInt(0, 3)];
+  if (!partition.empty()) where.push_back(partition);
+  const bool has_b = head.shape == 0 || head.shape == 1 || head.shape >= 4;
+  if (has_b && rng->Chance(0.4)) {
+    where.push_back(StrFormat("b.size > %d", static_cast<int>(rng->UniformInt(1, 6))));
+  }
+  if ((head.shape == 1 || head.shape == 2) && rng->Chance(0.5)) {
+    where.push_back("x.level > 5");
+  }
+  head.text = std::string("PATTERN ") + kShapes[head.shape];
+  for (size_t i = 0; i < where.size(); ++i) {
+    head.text += (i == 0 ? " WHERE " : " AND ") + where[i];
+  }
+  if (rng->Chance(0.4)) {
+    head.text += StrFormat(" WITHIN %d", static_cast<int>(rng->UniformInt(8, 60)));
+  }
+  return head;
+}
+
+std::string RandomQuery(Rng* rng, const QueryHead& head) {
+  static const char* const kKleeneReturns[] = {
+      "(b[i].timestamp, a.job, sum(b[1..i].size))",
+      "(b[i].timestamp, count(b[1..i].size))",
+      "(a.region, max(b[1..i].size), min(b[1..i].size))",
+      "(b[i].size, avg(b[1..i].size))",
+      "(a.job, a.node)",  // completion-only row on a kleene pattern
+  };
+  static const char* const kPlainReturns[] = {
+      "(a.job, c.timestamp)",
+      "(c.region, a.node)",
+      "(a.timestamp)",
+  };
+  std::string ret;
+  switch (head.shape) {
+    case 0:
+    case 1:
+      ret = kKleeneReturns[rng->UniformInt(0, 4)];
+      break;
+    case 4:
+      ret = kKleeneReturns[rng->UniformInt(0, 3)];
+      break;
+    case 5:
+      ret = rng->Chance(0.5) ? "(b.size, a.region)" : "(c.timestamp, b.size)";
+      break;
+    default:
+      ret = kPlainReturns[rng->UniformInt(0, 2)];
+  }
+  return head.text + " RETURN " + ret;
+}
+
+// Random batch sizes covering `n` events: many batches of one, small and
+// large ones.
+std::vector<size_t> RandomSplit(Rng* rng, size_t n) {
+  std::vector<size_t> sizes;
+  for (size_t done = 0; done < n;) {
+    const int64_t kind = rng->UniformInt(0, 3);
+    size_t size = kind == 0   ? 1
+                  : kind == 1 ? static_cast<size_t>(rng->UniformInt(2, 7))
+                  : kind == 2 ? static_cast<size_t>(rng->UniformInt(8, 64))
+                              : static_cast<size_t>(rng->UniformInt(65, 400));
+    size = std::min(size, n - done);
+    sizes.push_back(size);
+    done += size;
+  }
+  return sizes;
+}
+
+// Feeds `events` in the given batch sizes; batches of one alternate between
+// OnEvent and a one-event IngestBatch.
+void IngestSplit(CepEngine* engine, std::span<const Event> events,
+                 const std::vector<size_t>& split) {
+  size_t at = 0;
+  for (const size_t size : split) {
+    if (size == 1 && at % 2 == 0) {
+      engine->OnEvent(events[at]);
+    } else {
+      engine->IngestBatch(events.subspan(at, size));
+    }
+    at += size;
+  }
+}
+
+// Totals over all seeds, so the property test can prove it exercised merging,
+// negation, emissions and completions rather than vacuously agreeing.
+struct PropCoverage {
+  size_t queries = 0;
+  size_t groups = 0;
+  size_t unmergeable = 0;
+  size_t rows = 0;
+  size_t completions = 0;
+};
+
+void CheckRandomQuerySet(uint64_t seed, PropCoverage* coverage) {
+  const std::string label = StrFormat("seed %llu", static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+  EventTypeRegistry registry;
+  RegisterPropTypes(&registry);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  std::vector<QueryHead> heads;
+  const int num_heads = static_cast<int>(rng.UniformInt(2, 4));
+  for (int h = 0; h < num_heads; ++h) heads.push_back(RandomHead(&rng));
+  auto pick_query = [&] {
+    return RandomQuery(&rng, heads[rng.UniformInt(0, num_heads - 1)]);
+  };
+  std::vector<std::string> initial;
+  const int num_queries = static_cast<int>(rng.UniformInt(3, 10));
+  for (int q = 0; q < num_queries; ++q) {
+    // Replicas merge into one table class; residue-mates share a group.
+    initial.push_back(q > 0 && rng.Chance(0.3) ? initial[rng.UniformInt(0, q - 1)]
+                                               : pick_query());
+  }
+  const std::string late = rng.Chance(0.5) ? initial[0] : pick_query();
+
+  const std::vector<Event> stream =
+      RandomPropStream(&rng, static_cast<int>(rng.UniformInt(150, 600)));
+  const std::span<const Event> all(stream);
+  const size_t cut = static_cast<size_t>(rng.UniformInt(1, static_cast<int64_t>(stream.size()) - 1));
+
+  // Reference: the oracle, with `late` added mid-stream at `cut`.
+  CepCapture want;
+  CepCapture want_at_cut;
+  CepOracle oracle(&registry);
+  AddQueries(&oracle, initial);
+  oracle.SetMatchCallback(
+      [&want](const MatchNotification& n) { want.notes.push_back(NoteCopy::From(n)); });
+  for (const Event& e : all.first(cut)) oracle.OnEvent(e);
+  AddQueries(&oracle, {late});
+  CaptureState(oracle, &want_at_cut);
+  const size_t notes_at_cut = want.notes.size();
+  for (const Event& e : all.subspan(cut)) oracle.OnEvent(e);
+  CaptureState(oracle, &want);
+
+  // The engine, same schedule, random batch splits on both sides of the cut.
+  CepCapture got;
+  CepCapture got_at_cut;
+  CepEngine engine(&registry);
+  AddQueries(&engine, initial);
+  engine.SetMatchCallback(
+      [&got](const MatchNotification& n) { got.notes.push_back(NoteCopy::From(n)); });
+  IngestSplit(&engine, all.first(cut), RandomSplit(&rng, cut));
+  AddQueries(&engine, {late});
+  CaptureState(engine, &got_at_cut);
+  got_at_cut.notes = got.notes;
+  want_at_cut.notes.assign(want.notes.begin(), want.notes.begin() + notes_at_cut);
+  ExpectSameCapture(want_at_cut, got_at_cut, label + " at the mid-stream AddQuery");
+  if (::testing::Test::HasFatalFailure()) return;
+  IngestSplit(&engine, all.subspan(cut), RandomSplit(&rng, stream.size() - cut));
+  CaptureState(engine, &got);
+  ExpectSameCapture(want, got, label);
+  coverage->queries += engine.merge_stats().queries;
+  coverage->groups += engine.merge_stats().groups;
+  coverage->unmergeable += engine.merge_stats().unmergeable;
+  for (const NoteCopy& n : got.notes) {
+    coverage->rows += n.values.empty() ? 0 : 1;
+    coverage->completions += n.complete ? 1 : 0;
+  }
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Recovery shape: every query re-added before any event, then the oracle's
+  // snapshot restored; the engine must continue exactly like the oracle.
+  CepCapture resumed;
+  CepEngine restored(&registry);
+  AddQueries(&restored, initial);
+  AddQueries(&restored, {late});
+  BytesReader reader(want_at_cut.snapshot);
+  const Status st = restored.RestoreState(&reader);
+  ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+  restored.SetMatchCallback([&resumed](const MatchNotification& n) {
+    resumed.notes.push_back(NoteCopy::From(n));
+  });
+  IngestSplit(&restored, all.subspan(cut), RandomSplit(&rng, stream.size() - cut));
+  CaptureState(restored, &resumed);
+  CepCapture want_after_cut = want;
+  want_after_cut.notes.erase(want_after_cut.notes.begin(),
+                             want_after_cut.notes.begin() + notes_at_cut);
+  ExpectSameCapture(want_after_cut, resumed, label + " restored from the oracle");
+}
+
+TEST(CepOraclePropertyTest, RandomQuerySetsAndSplitsMatchOracle) {
+  PropCoverage coverage;
+  for (uint64_t seed = 1; seed <= 240; ++seed) {
+    CheckRandomQuerySet(seed, &coverage);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Mergeable queries share groups: at most half as many groups as queries.
+  EXPECT_LT(2 * (coverage.groups - coverage.unmergeable),
+            coverage.queries - coverage.unmergeable);
+  EXPECT_GT(coverage.unmergeable, 100u);  // negation singletons
+  EXPECT_GT(coverage.rows, 10000u);
+  EXPECT_GT(coverage.completions, 1000u);
 }
 
 }  // namespace

@@ -48,22 +48,27 @@ Event Ok(Timestamp ts, double d = 1.0) {
   return Event(0, ts, {Value(d), Value(std::string("s"))});
 }
 
+// Admits a batch of one; true if the event was released.
+bool AdmitOne(IngestGuard* guard, Event event) {
+  return guard->Admit({std::move(event)}).size() == 1;
+}
+
 TEST(IngestGuardTest, RejectsEachMalformationKind) {
   const EventTypeRegistry registry = MakeTinyRegistry();
   IngestGuard guard(&registry, {});
 
-  EXPECT_TRUE(guard.AdmitOne(Ok(1)));
-  EXPECT_FALSE(guard.AdmitOne(Event(7, 2, {Value(1.0)})));  // unknown type
-  EXPECT_FALSE(guard.AdmitOne(Event(0, 3, {Value(1.0)})));  // arity
-  EXPECT_FALSE(guard.AdmitOne(
+  EXPECT_TRUE(AdmitOne(&guard, Ok(1)));
+  EXPECT_FALSE(AdmitOne(&guard, Event(7, 2, {Value(1.0)})));  // unknown type
+  EXPECT_FALSE(AdmitOne(&guard, Event(0, 3, {Value(1.0)})));  // arity
+  EXPECT_FALSE(AdmitOne(&guard,
       Event(0, 4, {Value(std::string("x")), Value(std::string("s"))})));
-  EXPECT_FALSE(guard.AdmitOne(
+  EXPECT_FALSE(AdmitOne(&guard,
       Event(0, 5, {Value(std::nan("")), Value(std::string("s"))})));
-  EXPECT_FALSE(guard.AdmitOne(Ok(kTsMax)));
-  EXPECT_FALSE(guard.AdmitOne(Ok(std::numeric_limits<Timestamp>::min())));
+  EXPECT_FALSE(AdmitOne(&guard, Ok(kTsMax)));
+  EXPECT_FALSE(AdmitOne(&guard, Ok(std::numeric_limits<Timestamp>::min())));
   // int64 where double is declared passes (mirrors EventSchema::ValidateRow).
   EXPECT_TRUE(
-      guard.AdmitOne(Event(0, 6, {Value(int64_t{3}), Value(std::string("s"))})));
+      AdmitOne(&guard, Event(0, 6, {Value(int64_t{3}), Value(std::string("s"))})));
 
   const RejectReport r = guard.report();
   EXPECT_EQ(r.unknown_type, 1u);
@@ -87,7 +92,7 @@ TEST(IngestGuardTest, QuarantineFilesAreReadableAndCapped) {
   {
     IngestGuard guard(&registry, options);
     for (Timestamp ts = 0; ts < 7; ++ts) {
-      EXPECT_FALSE(guard.AdmitOne(Event(9, ts, {})));  // unknown type
+      EXPECT_FALSE(AdmitOne(&guard, Event(9, ts, {})));  // unknown type
       ++rejected;
     }
     const RejectReport r = guard.report();

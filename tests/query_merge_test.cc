@@ -1,8 +1,8 @@
 // Tests of the multi-query optimizer: signature canonicalization
 // (query_merge.h), merge-class assignment, and full differential
-// bit-identity of the merged shared-NFA engine against the legacy
-// per-query evaluator on both paper simulators (Hadoop cluster and
-// supply chain).
+// bit-identity of the merged shared-NFA engine against the per-query
+// reference oracle (tests/cep_oracle.h) on both paper simulators (Hadoop
+// cluster and supply chain), mid-stream query adds and checkpoints.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 
 #include "cep/engine.h"
 #include "cep/query_merge.h"
+#include "cep_compare.h"
+#include "cep_oracle.h"
 #include "common/strings.h"
 #include "query/parser.h"
 #include "sim/hadoop_sim.h"
@@ -195,127 +197,15 @@ TEST_F(MergeSignatureTest, PlannerSingletonsNeverMerge) {
 // Differential bit-identity on the paper simulators
 // ---------------------------------------------------------------------------
 
-struct NoteCopy {
-  QueryId query;
-  uint32_t partition_id;
-  std::string partition;
-  Timestamp ts;
-  std::vector<Value> values;
-  bool complete;
-
-  static NoteCopy From(const MatchNotification& n) {
-    return NoteCopy{n.query,  n.partition_id, std::string(n.partition),
-                    n.row.ts, n.row.values,   n.complete};
-  }
-  bool operator==(const NoteCopy& o) const {
-    return query == o.query && partition_id == o.partition_id &&
-           partition == o.partition && ts == o.ts && values == o.values &&
-           complete == o.complete;
-  }
-};
-
-struct TableCopy {
-  std::vector<std::string> partitions;
-  std::vector<std::vector<MatchRow>> rows;
-  std::vector<bool> complete;
-
-  static TableCopy From(const MatchTable& t) {
-    TableCopy c;
-    c.partitions = t.Partitions();
-    for (const std::string& p : c.partitions) {
-      c.rows.push_back(t.Rows(p));
-      c.complete.push_back(t.IsComplete(p));
-    }
-    return c;
-  }
-};
-
-void ExpectTablesEqual(const TableCopy& a, const TableCopy& b,
-                       const std::string& label) {
-  ASSERT_EQ(a.partitions, b.partitions) << label;
-  ASSERT_EQ(a.complete, b.complete) << label;
-  for (size_t p = 0; p < a.partitions.size(); ++p) {
-    ASSERT_EQ(a.rows[p].size(), b.rows[p].size())
-        << label << " partition " << a.partitions[p];
-    for (size_t i = 0; i < a.rows[p].size(); ++i) {
-      ASSERT_EQ(a.rows[p][i].ts, b.rows[p][i].ts)
-          << label << " " << a.partitions[p] << "#" << i;
-      ASSERT_EQ(a.rows[p][i].values, b.rows[p][i].values)
-          << label << " " << a.partitions[p] << "#" << i;
-    }
-  }
-}
-
-struct EngineOutput {
-  std::vector<TableCopy> tables;
-  std::vector<NoteCopy> notes;
-};
-
-// Runs `queries` through one engine configuration and captures everything an
-// observer can see: per-query MatchTables and the callback sequence.
-EngineOutput RunEngine(const EventTypeRegistry& registry,
-                       const std::vector<std::string>& queries,
-                       const std::vector<Event>& stream, bool merge,
-                       size_t ingest_threads, size_t batch_size) {
-  CepEngineOptions options;
-  options.enable_query_merge = merge;
-  options.ingest_threads = ingest_threads;
-  CepEngine engine(&registry, options);
-  std::vector<QueryId> ids;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto qid = engine.AddQueryText(queries[q], StrFormat("Q%zu", q));
-    EXPECT_TRUE(qid.ok()) << qid.status().ToString();
-    ids.push_back(*qid);
-  }
-  EngineOutput out;
-  engine.SetMatchCallback([&out](const MatchNotification& n) {
-    out.notes.push_back(NoteCopy::From(n));
-  });
-  if (batch_size == 0) {
-    for (const Event& e : stream) engine.OnEvent(e);
-  } else {
-    for (size_t i = 0; i < stream.size(); i += batch_size) {
-      const size_t end = std::min(stream.size(), i + batch_size);
-      engine.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
-                                     stream.begin() + static_cast<ptrdiff_t>(end)));
-    }
-  }
-  for (const QueryId id : ids) {
-    out.tables.push_back(TableCopy::From(engine.match_table(id)));
-  }
-  return out;
-}
-
-void CheckMergedMatchesLegacy(const EventTypeRegistry& registry,
+void CheckMergedMatchesOracle(const EventTypeRegistry& registry,
                               const std::vector<std::string>& queries,
                               const std::vector<Event>& stream,
                               const std::string& label) {
-  // Ground truth: the legacy per-query evaluator, sequential.
-  const EngineOutput ref =
-      RunEngine(registry, queries, stream, /*merge=*/false, 1, 0);
-  ASSERT_FALSE(ref.notes.empty()) << label << ": stream produced no matches";
-
-  struct Config {
-    size_t threads;
-    size_t batch;
-  };
-  const Config configs[] = {{1, 0}, {1, 64}, {2, 64}, {8, 512}};
-  for (const Config& c : configs) {
-    const std::string run_label =
-        StrFormat("%s merged threads=%zu batch=%zu", label.c_str(), c.threads,
-                  c.batch);
-    const EngineOutput got =
-        RunEngine(registry, queries, stream, /*merge=*/true, c.threads, c.batch);
-    ASSERT_EQ(got.tables.size(), ref.tables.size()) << run_label;
-    for (size_t q = 0; q < got.tables.size(); ++q) {
-      ExpectTablesEqual(ref.tables[q], got.tables[q],
-                        StrFormat("%s Q%zu", run_label.c_str(), q));
-    }
-    ASSERT_EQ(got.notes.size(), ref.notes.size()) << run_label;
-    for (size_t i = 0; i < got.notes.size(); ++i) {
-      ASSERT_TRUE(got.notes[i] == ref.notes[i])
-          << run_label << " note #" << i << " (callback order must match)";
-    }
+  const CepCapture want = RunOracle(registry, queries, stream);
+  ASSERT_FALSE(want.notes.empty()) << label << ": stream produced no matches";
+  for (const size_t batch : {size_t{0}, size_t{64}, size_t{512}}) {
+    ExpectSameCapture(want, RunEngine(registry, queries, stream, batch),
+                      StrFormat("%s batch=%zu", label.c_str(), batch));
   }
 }
 
@@ -358,7 +248,7 @@ TEST(QueryMergeDifferentialTest, HadoopSimulatorBitIdentical) {
       "PATTERN SEQ(JobStart a, DataIO+ b[], JobEnd c) WHERE [jobId] WITHIN 500 "
       "RETURN (b[i].timestamp, a.jobId, max(b[1..i].dataSize))",
   };
-  CheckMergedMatchesLegacy(registry, queries, stream, "hadoop");
+  CheckMergedMatchesOracle(registry, queries, stream, "hadoop");
 }
 
 TEST(QueryMergeDifferentialTest, SupplyChainSimulatorBitIdentical) {
@@ -391,7 +281,7 @@ TEST(QueryMergeDifferentialTest, SupplyChainSimulatorBitIdentical) {
       "WHERE [productId] RETURN (b[i].timestamp, a.productId, "
       "min(b[1..i].quality))",
   };
-  CheckMergedMatchesLegacy(registry, queries, stream, "supply-chain");
+  CheckMergedMatchesOracle(registry, queries, stream, "supply-chain");
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +292,6 @@ class MergedEngineTest : public MergeSignatureTest {};
 
 TEST_F(MergedEngineTest, StatsReportCompression) {
   CepEngine engine(&registry_);
-  ASSERT_TRUE(engine.merge_enabled());
   for (int q = 0; q < 10; ++q) {
     ASSERT_TRUE(engine.AddQueryText(kBase, StrFormat("Q%d", q)).ok());
   }
@@ -416,8 +305,8 @@ TEST_F(MergedEngineTest, StatsReportCompression) {
 
 TEST_F(MergedEngineTest, MidStreamAddQueryIsIsolatedAndCorrect) {
   // A query added after events have flowed must not inherit the group's
-  // partial-match history, and must still agree with the legacy engine fed
-  // the same add-mid-stream sequence.
+  // partial-match history, and must still agree with the oracle fed the same
+  // add-mid-stream sequence.
   std::vector<Event> first_half;
   std::vector<Event> second_half;
   Timestamp ts = 0;
@@ -429,86 +318,24 @@ TEST_F(MergedEngineTest, MidStreamAddQueryIsIsolatedAndCorrect) {
     dst.emplace_back(2, ++ts, MakeValues(job, std::string("r")));
   }
 
-  auto run = [&](bool merge) {
-    CepEngineOptions options;
-    options.enable_query_merge = merge;
-    CepEngine engine(&registry_, options);
-    auto q0 = engine.AddQueryText(kBase, "Q0");
-    EXPECT_TRUE(q0.ok());
-    for (const Event& e : first_half) engine.OnEvent(e);
-    auto q1 = engine.AddQueryText(kBase, "Q1");  // mid-stream replica
-    EXPECT_TRUE(q1.ok());
-    for (const Event& e : second_half) engine.OnEvent(e);
-    std::vector<TableCopy> tables;
-    tables.push_back(TableCopy::From(engine.match_table(*q0)));
-    tables.push_back(TableCopy::From(engine.match_table(*q1)));
-    return tables;
+  auto run = [&](auto* cep) {
+    AddQueries(cep, {kBase});
+    for (const Event& e : first_half) cep->OnEvent(e);
+    AddQueries(cep, {kBase});  // mid-stream replica
+    for (const Event& e : second_half) cep->OnEvent(e);
+    CepCapture out;
+    CaptureState(*cep, &out);
+    return out;
   };
-
-  const auto legacy = run(false);
-  const auto merged = run(true);
-  ExpectTablesEqual(legacy[0], merged[0], "mid-stream Q0");
-  ExpectTablesEqual(legacy[1], merged[1], "mid-stream Q1");
+  CepOracle oracle(&registry_);
+  CepEngine engine(&registry_);
+  const CepCapture want = run(&oracle);
+  const CepCapture got = run(&engine);
+  ExpectSameCapture(want, got, "mid-stream");
+  EXPECT_EQ(engine.merge_stats().groups, 2u);
   // Q1 saw only the second half: strictly fewer rows than Q0.
-  size_t q0_rows = 0;
-  size_t q1_rows = 0;
-  for (const auto& r : merged[0].rows) q0_rows += r.size();
-  for (const auto& r : merged[1].rows) q1_rows += r.size();
-  EXPECT_LT(q1_rows, q0_rows);
-  EXPECT_GT(q1_rows, 0u);
-}
-
-TEST_F(MergedEngineTest, ShrinkingShardPoolKeepsRoutingAllEvents) {
-  // Regression: the router's per-shard lists used to only grow, so after
-  // SetIngestThreads lowered the shard count, RouteGroupBatch kept spreading
-  // work over the stale larger list while only the first `shards` entries
-  // were ever drained — silently dropping every event hashed to an upper
-  // shard (including in the serial shards==1 path).
-  std::vector<Event> stream;
-  Timestamp ts = 0;
-  for (int i = 0; i < 64; ++i) {
-    const std::string job = StrFormat("j%d", i % 8);  // spread over shards
-    stream.emplace_back(0, ++ts, MakeValues(job, std::string("r")));
-    stream.emplace_back(1, ++ts, MakeValues(job, std::string("r"), 1.0 * i));
-    stream.emplace_back(2, ++ts, MakeValues(job, std::string("r")));
-  }
-  const std::vector<std::string> queries = {kBase, kBase};
-
-  auto make_engine = [&](size_t threads) {
-    CepEngineOptions options;
-    options.ingest_threads = threads;
-    auto engine = std::make_unique<CepEngine>(&registry_, options);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_TRUE(engine->AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
-    }
-    return engine;
-  };
-  auto ingest = [&](CepEngine* engine, size_t begin, size_t end) {
-    constexpr size_t kBatch = 32;
-    for (size_t i = begin; i < end; i += kBatch) {
-      const size_t stop = std::min(end, i + kBatch);
-      engine->IngestBatch(
-          EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
-                     stream.begin() + static_cast<ptrdiff_t>(stop)));
-    }
-  };
-
-  auto ref = make_engine(1);
-  ingest(ref.get(), 0, stream.size());
-
-  // Wide, then shrink to serial, then widen again mid-stream.
-  auto dut = make_engine(4);
-  ingest(dut.get(), 0, stream.size() / 3);
-  dut->SetIngestThreads(1);
-  ingest(dut.get(), stream.size() / 3, 2 * stream.size() / 3);
-  dut->SetIngestThreads(2);
-  ingest(dut.get(), 2 * stream.size() / 3, stream.size());
-
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ExpectTablesEqual(TableCopy::From(ref->match_table(static_cast<QueryId>(q))),
-                      TableCopy::From(dut->match_table(static_cast<QueryId>(q))),
-                      StrFormat("shrunk shards Q%zu", q));
-  }
+  EXPECT_LT(engine.match_table(1).TotalRows(), engine.match_table(0).TotalRows());
+  EXPECT_GT(engine.match_table(1).TotalRows(), 0u);
 }
 
 TEST_F(MergedEngineTest, MidStreamAddQueryCheckpointRestores) {
@@ -534,67 +361,64 @@ TEST_F(MergedEngineTest, MidStreamAddQueryCheckpointRestores) {
   for (int i = 0; i < 12; ++i) triplet(&part3, StrFormat("j%d", i % 4), 2.5 * i);
   part3.emplace_back(2, ++ts, MakeValues(std::string("open"), std::string("r")));
 
-  auto capture = [](CepEngine* engine) {
-    std::vector<TableCopy> tables;
-    for (QueryId q = 0; q < engine->num_queries(); ++q) {
-      tables.push_back(TableCopy::From(engine->match_table(q)));
-    }
-    return tables;
+  // Source run, by the engine or the oracle: snapshot after part2, then the
+  // uninterrupted state after part3.
+  auto source_run = [&](auto* cep, std::string* snapshot, CepCapture* want) {
+    AddQueries(cep, {kBase});
+    for (const Event& e : part1) cep->OnEvent(e);
+    AddQueries(cep, {kBase});  // mid-stream replica
+    for (const Event& e : part2) cep->OnEvent(e);
+    BytesWriter w;
+    cep->SaveState(&w);
+    *snapshot = w.Take();
+    for (const Event& e : part3) cep->OnEvent(e);
+    CaptureState(*cep, want);
   };
+  std::string engine_snapshot;
+  std::string oracle_snapshot;
+  CepCapture want;
+  CepCapture engine_want;
+  {
+    CepOracle oracle(&registry_);
+    source_run(&oracle, &oracle_snapshot, &want);
+    CepEngine engine(&registry_);
+    source_run(&engine, &engine_snapshot, &engine_want);
+  }
+  ASSERT_TRUE(engine_snapshot == oracle_snapshot);
+  ExpectSameCapture(want, engine_want, "uninterrupted");
 
-  for (const bool save_merged : {false, true}) {
-    CepEngineOptions source_options;
-    source_options.enable_query_merge = save_merged;
-    CepEngine source(&registry_, source_options);
-    ASSERT_TRUE(source.AddQueryText(kBase, "Q0").ok());
-    for (const Event& e : part1) source.OnEvent(e);
-    ASSERT_TRUE(source.AddQueryText(kBase, "Q1").ok());  // mid-stream replica
-    for (const Event& e : part2) source.OnEvent(e);
-    BytesWriter snapshot;
-    source.SaveState(&snapshot);
-    for (const Event& e : part3) source.OnEvent(e);
-    const std::vector<TableCopy> want = capture(&source);
+  // Recovery shape: both queries re-added before any event, so without the
+  // persisted flags Q1 would merge into Q0's group.
+  auto restore = [&](CepEngine* engine, const std::string& snapshot) {
+    AddQueries(engine, {kBase, kBase});
+    BytesReader reader(snapshot);
+    return engine->RestoreState(&reader);
+  };
+  CepEngine restored(&registry_);
+  const Status st = restore(&restored, oracle_snapshot);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(restored.merge_stats().groups, 2u);
 
-    for (const bool restore_merged : {false, true}) {
-      const std::string label = StrFormat("save_merged=%d restore_merged=%d",
-                                          save_merged, restore_merged);
-      CepEngineOptions options;
-      options.enable_query_merge = restore_merged;
-      // Recovery shape: both queries re-added before any event, so without
-      // the persisted flags Q1 would merge into Q0's group.
-      CepEngine restored(&registry_, options);
-      ASSERT_TRUE(restored.AddQueryText(kBase, "Q0").ok());
-      ASSERT_TRUE(restored.AddQueryText(kBase, "Q1").ok());
-      BytesReader reader(snapshot.str());
-      const Status st = restored.RestoreState(&reader);
-      ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+  // The flags must survive a re-checkpoint of the restored engine too.
+  BytesWriter resnapshot;
+  restored.SaveState(&resnapshot);
+  ASSERT_TRUE(resnapshot.str() == oracle_snapshot);
+  CepEngine second(&registry_);
+  const Status st2 = restore(&second, resnapshot.str());
+  ASSERT_TRUE(st2.ok()) << "re-checkpoint: " << st2.ToString();
 
-      // The flags must survive a re-checkpoint of the restored engine too.
-      BytesWriter resnapshot;
-      restored.SaveState(&resnapshot);
-      CepEngine second(&registry_, options);
-      ASSERT_TRUE(second.AddQueryText(kBase, "Q0").ok());
-      ASSERT_TRUE(second.AddQueryText(kBase, "Q1").ok());
-      BytesReader rereader(resnapshot.str());
-      const Status st2 = second.RestoreState(&rereader);
-      ASSERT_TRUE(st2.ok()) << label << " (re-checkpoint): " << st2.ToString();
-
-      for (CepEngine* engine : {&restored, &second}) {
-        for (const Event& e : part3) engine->OnEvent(e);
-        const std::vector<TableCopy> got = capture(engine);
-        ASSERT_EQ(got.size(), want.size()) << label;
-        for (size_t q = 0; q < want.size(); ++q) {
-          ExpectTablesEqual(want[q], got[q],
-                            StrFormat("%s Q%zu", label.c_str(), q));
-        }
-      }
-    }
+  want.notes.clear();  // the restored engines run without a callback
+  for (CepEngine* engine : {&restored, &second}) {
+    for (const Event& e : part3) engine->OnEvent(e);
+    CepCapture got;
+    CaptureState(*engine, &got);
+    ExpectSameCapture(want, got, "restored");
   }
 }
 
-TEST_F(MergedEngineTest, CheckpointRoundTripsAcrossModes) {
-  // A snapshot taken by a merged engine must restore into an unmerged engine
-  // and vice versa, mid-pattern state included.
+TEST_F(MergedEngineTest, CheckpointRoundTripsWithOracle) {
+  // A snapshot the engine takes restores into the oracle and vice versa,
+  // mid-pattern state included, and both continue identically.
   std::vector<Event> first_half;
   std::vector<Event> second_half;
   Timestamp ts = 0;
@@ -613,46 +437,36 @@ TEST_F(MergedEngineTest, CheckpointRoundTripsAcrossModes) {
       "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
       "RETURN (b[i].timestamp, a.job, count(b[1..i].size))"};
 
-  auto make_engine = [&](bool merge) {
-    CepEngineOptions options;
-    options.enable_query_merge = merge;
-    auto engine = std::make_unique<CepEngine>(&registry_, options);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_TRUE(engine->AddQueryText(queries[q], StrFormat("Q%zu", q)).ok());
-    }
-    return engine;
+  auto snapshot_of = [&](auto* cep) {
+    AddQueries(cep, queries);
+    for (const Event& e : first_half) cep->OnEvent(e);
+    BytesWriter w;
+    cep->SaveState(&w);
+    return w.Take();
   };
-  auto finish = [&](CepEngine* engine) {
-    std::vector<TableCopy> tables;
-    for (const Event& e : second_half) engine->OnEvent(e);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      tables.push_back(
-          TableCopy::From(engine->match_table(static_cast<QueryId>(q))));
-    }
-    return tables;
+  CepOracle oracle_source(&registry_);
+  CepEngine engine_source(&registry_);
+  const std::string from_oracle = snapshot_of(&oracle_source);
+  const std::string from_engine = snapshot_of(&engine_source);
+  ASSERT_TRUE(from_engine == from_oracle);
+  for (const Event& e : second_half) oracle_source.OnEvent(e);
+  CepCapture want;
+  CaptureState(oracle_source, &want);
+
+  auto finish = [&](auto* cep, const std::string& snapshot, const std::string& label) {
+    AddQueries(cep, queries);
+    BytesReader reader(snapshot);
+    const Status st = cep->RestoreState(&reader);
+    ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+    for (const Event& e : second_half) cep->OnEvent(e);
+    CepCapture got;
+    CaptureState(*cep, &got);
+    ExpectSameCapture(want, got, label);
   };
-
-  for (const bool save_merged : {false, true}) {
-    for (const bool restore_merged : {false, true}) {
-      const std::string label = StrFormat("save_merged=%d restore_merged=%d",
-                                          save_merged, restore_merged);
-      auto source = make_engine(save_merged);
-      for (const Event& e : first_half) source->OnEvent(e);
-      BytesWriter snapshot;
-      source->SaveState(&snapshot);
-      const std::vector<TableCopy> want = finish(source.get());
-
-      auto restored = make_engine(restore_merged);
-      BytesReader reader(snapshot.str());
-      const Status st = restored->RestoreState(&reader);
-      ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-      const std::vector<TableCopy> got = finish(restored.get());
-      for (size_t q = 0; q < queries.size(); ++q) {
-        ExpectTablesEqual(want[q], got[q],
-                          StrFormat("%s Q%zu", label.c_str(), q));
-      }
-    }
-  }
+  CepOracle oracle(&registry_);
+  finish(&oracle, from_engine, "engine snapshot -> oracle");
+  CepEngine engine(&registry_);
+  finish(&engine, from_oracle, "oracle snapshot -> engine");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Stress test of the continuous-serving layer (meant for TSan).
 //
 // One system runs everything the serving PR added, all at once:
-//  * sharded batched ingestion feeding the incremental feature tails,
+//  * batched ingestion feeding the incremental feature tails,
 //  * the streaming detector observing match notifications and auto-triggering
 //    Explains on its background worker,
 //  * interactive threads hammering the cached Explain path with repeated and
@@ -29,7 +29,7 @@ constexpr char kQ1[] =
     "PATTERN SEQ(JobStart a, DataIO+ b[], JobEnd c) WHERE [jobId] "
     "RETURN (b[i].timestamp, a.jobId, sum(b[1..i].dataSize))";
 
-TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest) {
+TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringBatchedIngest) {
   EventTypeRegistry registry;
   ASSERT_TRUE(HadoopClusterSim::RegisterEventTypes(&registry).ok());
 
@@ -37,7 +37,6 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest)
   config.explain.feature_space.windows = {10};
   config.explain.num_threads = 2;
   config.explain.enable_validation = false;  // partitions index mid-stream
-  config.ingest.ingest_threads = 4;
   config.serving.incremental_features = true;
   config.serving.incremental_retention = 400;  // force eviction + backfill
   config.serving.explain_cache_capacity = 16;
@@ -54,7 +53,7 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringShardedIngest)
   ASSERT_NE(system.detector(), nullptr);
 
   // Simulate the anomalous run into a buffer so ingest can be batched
-  // through the sharded pipeline.
+  // while the Explains run.
   HadoopSimConfig sim_config;
   sim_config.num_nodes = 3;
   sim_config.seed = 77;
