@@ -1,6 +1,7 @@
 // Tiered-archive bench: on-disk compression of the v4 spill format vs the
-// uncompressed v3 columnar layout, and wide-interval feature-build + Explain
-// latency answered from downsampled aggregate tiers vs exact raw rows.
+// uncompressed columnar layout (the retired v3 format, sized in closed form),
+// and wide-interval feature-build + Explain latency answered from downsampled
+// aggregate tiers vs exact raw rows.
 //
 // Correctness is checked before timing: the tiered Explain must keep every
 // abnormal-interval feature series bitwise identical to the exact run (tiers
@@ -38,21 +39,41 @@ using namespace exstream::bench;
 namespace {
 
 struct SpillSizes {
-  size_t v1 = 0;
   size_t v3 = 0;
   size_t v4 = 0;
   size_t events = 0;
 };
 
-// Serializes every archived event through each spill format and totals the
-// byte counts — exactly what SpillTo would write per format.
+// Bytes of one chunk in the uncompressed columnar layout (the retired v3
+// spill format): a 14-byte header (magic, rows, type, u16 column count), then
+// CRC-framed blocks (u32 length + u32 CRC each) — the ts column as raw i64s,
+// and per attribute the declared-type byte, one tag byte per row, and
+// u32-counted raw ints, doubles and string ids plus the u32-length-prefixed
+// dictionary.
+size_t UncompressedColumnarBytes(const ChunkColumns& cols) {
+  constexpr size_t kFrame = 2 * sizeof(uint32_t);
+  size_t bytes = 3 * sizeof(uint32_t) + sizeof(uint16_t) + kFrame +
+                 cols.rows() * sizeof(int64_t);
+  for (const AttributeColumn& col : cols.attrs()) {
+    const size_t dbls = static_cast<size_t>(std::count(
+        col.tags.begin(), col.tags.end(), static_cast<uint8_t>(ValueType::kDouble)));
+    bytes += kFrame + 1 + col.tags.size() + 4 * sizeof(uint32_t) +
+             (col.ints.size() + dbls) * sizeof(int64_t) +
+             col.str_ids.size() * sizeof(uint32_t);
+    for (const std::string& s : col.dict) bytes += sizeof(uint32_t) + s.size();
+  }
+  return bytes;
+}
+
+// Sizes every archived type's events as one chunk in both layouts; v4 is
+// exactly what SpillTo writes.
 SpillSizes MeasureSpillSizes(const std::vector<EventArchive::TypeScan>& scans) {
   SpillSizes sizes;
   for (const auto& scan : scans) {
     sizes.events += scan.events.size();
-    sizes.v1 += SerializeEvents(scan.events, SpillFormat::kV1).size();
-    sizes.v3 += SerializeEvents(scan.events, SpillFormat::kV3).size();
-    sizes.v4 += SerializeEvents(scan.events, SpillFormat::kV4).size();
+    sizes.v3 += UncompressedColumnarBytes(
+        CheckResult(ChunkColumns::FromRows(scan.events), "columns"));
+    sizes.v4 += SerializeEvents(scan.events).size();
   }
   return sizes;
 }
@@ -138,8 +159,6 @@ int main(int argc, char** argv) {
   const SpillSizes sizes = MeasureSpillSizes(scans);
   const double ratio_v3_v4 =
       static_cast<double>(sizes.v3) / std::max<size_t>(sizes.v4, 1);
-  const double ratio_v1_v4 =
-      static_cast<double>(sizes.v1) / std::max<size_t>(sizes.v4, 1);
 
   // Replica archive tuned for tiering: every sealed chunk spills (cold reads
   // are the quantity under test) and carries one aggregate tier whose window
@@ -255,11 +274,9 @@ int main(int argc, char** argv) {
   printf("\nArchive tiering & compression, %s (%zu events, %zu specs)\n",
          def.name.c_str(), sizes.events, specs.size());
   printf("%-28s %14s\n", "spill format", "bytes");
-  printf("%-28s %14zu\n", "v1 (rows)", sizes.v1);
   printf("%-28s %14zu\n", "v3 (columnar)", sizes.v3);
   printf("%-28s %14zu\n", "v4 (compressed columnar)", sizes.v4);
-  printf("compression: v4 = %.2fx smaller than v3, %.2fx smaller than v1\n",
-         ratio_v3_v4, ratio_v1_v4);
+  printf("compression: v4 = %.2fx smaller than v3\n", ratio_v3_v4);
   printf("\n%-28s %14s %14s\n", "wide-interval latency", "exact s", "tiered s");
   printf("%-28s %14.5f %14.5f  (%.2fx)\n", "feature build", build_exact_s,
          build_tiered_s, build_speedup);
@@ -291,16 +308,12 @@ int main(int argc, char** argv) {
   json.UInt(specs.size());
   json.Key("tier_window");
   json.UInt(static_cast<size_t>(tier_window));
-  json.Key("v1_bytes");
-  json.UInt(sizes.v1);
   json.Key("v3_bytes");
   json.UInt(sizes.v3);
   json.Key("v4_bytes");
   json.UInt(sizes.v4);
   json.Key("compression_ratio_v3_over_v4");
   json.Double(ratio_v3_v4);
-  json.Key("compression_ratio_v1_over_v4");
-  json.Double(ratio_v1_v4);
   json.Key("build_exact_s");
   json.Double(build_exact_s);
   json.Key("build_tiered_s");

@@ -4,10 +4,11 @@
 //
 // Correctness is checked before timing: the explanation must be bit-identical
 // (every ranked feature's abnormal AND reference series, plus the final CNF)
-// whether features come from the incremental tails, the columnar archive
-// scan, or the legacy row scan — and the cached repeat must return the very
-// same report object. Single-flight is exercised with concurrent threads on
-// one cold key: exactly one computation may run.
+// whether features come from the incremental tails or the columnar archive
+// scan, the annotation's features built through the tails must equal the
+// row-folding reference oracle's (tests/feature_oracle.h), and the cached
+// repeat must return the very same report object. Single-flight is exercised
+// with concurrent threads on one cold key: exactly one computation may run.
 //
 // Emits BENCH_explain_qps.json. Acceptance gates, full mode only:
 //   - cached repeat Explain at least 20x faster than the uncached one
@@ -29,6 +30,7 @@
 
 #include "common/stopwatch.h"
 #include "explain/engine.h"
+#include "feature_oracle.h"
 #include "features/builder.h"
 #include "features/feature_space.h"
 #include "io/file_util.h"
@@ -158,7 +160,7 @@ int main(int argc, char** argv) {
                         annotation.abnormal.range.Length() / 2;
   const TimeInterval recent{mid - 30, mid + 30};
 
-  // --- Correctness: one explanation, three feature paths, one answer. ---
+  // --- Correctness: one explanation, two feature paths and the oracle. ---
   fprintf(stderr, "[bench] checking bit-identity across scan paths ...\n");
   const auto incr_before = system.incremental()->stats();
   const ExplanationReport incremental_report = CheckResult(
@@ -177,27 +179,36 @@ int main(int argc, char** argv) {
                                       scan_opts);
   const ExplanationReport scan_report =
       CheckResult(scan_engine.Explain(annotation), "scan explain");
-  ExplainOptions legacy_opts = config.explain;
-  legacy_opts.use_legacy_row_scan = true;
-  const ExplanationEngine legacy_engine(&system.archive(), &system.partitions(),
-                                        system.MakeSeriesProvider(qid, column),
-                                        legacy_opts);
-  const ExplanationReport legacy_report =
-      CheckResult(legacy_engine.Explain(annotation), "legacy explain");
   const bool incremental_identical =
       ReportsIdentical(incremental_report, scan_report);
-  const bool legacy_identical = ReportsIdentical(scan_report, legacy_report);
-  if (!incremental_identical || !legacy_identical) {
-    fprintf(stderr, "FAIL: scan paths diverged (incremental %d, legacy %d)\n",
-            incremental_identical, legacy_identical);
+  const FeatureBuilder scan_builder(&system.archive());
+  const FeatureBuilder incr_builder(&system.archive(), system.incremental());
+  const FeatureRowSource rows = [&](EventTypeId type) -> Result<std::vector<Event>> {
+    for (const auto& scan : scans) {
+      if (scan.type == type) return scan.events;
+    }
+    return std::vector<Event>{};
+  };
+  bool oracle_identical = true;
+  for (const TimeInterval& interval :
+       {annotation.abnormal.range, annotation.reference.range}) {
+    const std::vector<Feature> built =
+        CheckResult(incr_builder.Build(specs, interval), "incremental build");
+    const std::vector<Feature> oracle =
+        CheckResult(OracleFeatures(rows, specs, interval), "oracle features");
+    for (size_t i = 0; i < specs.size(); ++i) {
+      oracle_identical =
+          oracle_identical && SameSeriesBits(built[i].series, oracle[i].series);
+    }
+  }
+  if (!incremental_identical || !oracle_identical) {
+    fprintf(stderr, "FAIL: feature paths diverged (incremental %d, oracle %d)\n",
+            incremental_identical, oracle_identical);
     return 1;
   }
 
   // --- Timing: recent-interval feature build, tails vs cold archive. ---
   fprintf(stderr, "[bench] timing recent-interval feature build ...\n");
-  const FeatureBuilder scan_builder(&system.archive());
-  const FeatureBuilder incr_builder(&system.archive(), false,
-                                    system.incremental());
   const double build_scan_s = TimeBest(reps, [&] {
     CheckResult(scan_builder.Build(specs, recent), "scan build");
   });
@@ -270,7 +281,8 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(incr_stats.partial_hits),
          static_cast<unsigned long long>(incr_stats.misses),
          static_cast<unsigned long long>(incr_stats.events_buffered));
-  printf("explanations bit-identical across incremental/scan/legacy paths\n");
+  printf("explanations bit-identical across incremental/scan paths; features "
+         "equal the oracle's\n");
   printf("acceptance: cached %.0fx %s, incremental %.2fx %s\n", cached_speedup,
          smoke ? "(smoke; gate applies to the full run)"
                : (cached_speedup >= 20.0 ? "(PASS, >= 20x)" : "(FAIL, < 20x)"),
@@ -311,8 +323,8 @@ int main(int argc, char** argv) {
   json.UInt(static_cast<size_t>(single_flight_computations));
   json.Key("incremental_identical");
   json.Bool(incremental_identical);
-  json.Key("legacy_identical");
-  json.Bool(legacy_identical);
+  json.Key("oracle_identical");
+  json.Bool(oracle_identical);
   json.Key("tail_full_hits");
   json.UInt(static_cast<size_t>(incr_stats.full_hits));
   json.Key("tail_partial_hits");

@@ -11,7 +11,6 @@
 #include "bench_json.h"
 
 #include "archive/archive.h"
-#include "archive/serialization.h"
 #include "cep/engine.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -194,48 +193,6 @@ void WriteRewardComparisonJson() {
   }
 }
 
-// v1 (no checksum) vs v2 (CRC32) spill round-trip throughput, written to
-// BENCH_fault_overhead.json. Guards the resilience layer's perf budget: the
-// acceptance bound is overhead_pct < 10 for the checksummed format.
-void WriteFaultOverheadJson() {
-  SharedStream& s = Stream();
-  auto time_best = [&](SpillFormat format, const char* path) {
-    double best = 1e30;
-    for (int r = 0; r < 5; ++r) {
-      Stopwatch timer;
-      (void)WriteEventsFile(path, s.events, format);
-      auto read = ReadEventsFile(path);
-      benchmark::DoNotOptimize(read);
-      best = std::min(best, timer.ElapsedSeconds());
-    }
-    std::remove(path);
-    return best;
-  };
-  const double v1 = time_best(SpillFormat::kV1, "/tmp/exstream_bench_spill_v1");
-  const double v2 = time_best(SpillFormat::kV2, "/tmp/exstream_bench_spill_v2");
-
-  exstream::bench::JsonWriter json;
-  json.BeginObject();
-  json.Key("bench");
-  json.String("fault_overhead");
-  json.Key("spill_roundtrip");
-  json.BeginObject();
-  json.Key("num_events");
-  json.UInt(s.events.size());
-  json.Key("v1_s");
-  json.Double(v1);
-  json.Key("v2_s");
-  json.Double(v2);
-  json.Key("overhead_pct");
-  json.Double((v2 / std::max(v1, 1e-12) - 1.0) * 100.0);
-  json.EndObject();
-  json.MemoryObject(exstream::bench::SampleMemoryStats());
-  json.EndObject();
-  if (json.WriteFile("BENCH_fault_overhead.json")) {
-    fprintf(stderr, "[bench] wrote BENCH_fault_overhead.json\n");
-  }
-}
-
 }  // namespace
 }  // namespace exstream
 
@@ -245,6 +202,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   exstream::WriteRewardComparisonJson();
-  exstream::WriteFaultOverheadJson();
   return 0;
 }

@@ -1,10 +1,15 @@
-// Scan + feature-build throughput: columnar ScanView path vs the legacy
-// row-materializing Scan path, over the Hadoop-sim workload's annotated
-// intervals (the exact access pattern of the explanation hot path).
+// Scan + feature-build throughput: FeatureBuilder's columnar ScanView path vs
+// a row baseline, over the Hadoop-sim workload's annotated intervals (the
+// exact access pattern of the explanation hot path). The row baseline is the
+// row-folding reference oracle (tests/feature_oracle.h) over
+// row-materializing EventArchive::Scan reads, in the cost shape of the
+// retired row scan path: serial, one Scan per type, one raw series per
+// (type, attribute).
 //
 // The two paths must be perf-different but result-identical, so this bench is
-// also a correctness harness: it verifies bit-identical Feature series and a
-// bit-identical Explanation report across modes before timing anything.
+// also a correctness harness: it verifies bit-identical Feature series across
+// modes before timing anything. (Explanation-level identity is gated by
+// bench_explain_qps and explain_determinism_test.)
 //
 // Emits BENCH_scan_view.json (with memory counters). Acceptance gate, full
 // mode only: view-path throughput >= 2x the row baseline (exit 1 otherwise).
@@ -12,6 +17,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,6 +26,7 @@
 
 #include "archive/archive.h"
 #include "common/stopwatch.h"
+#include "feature_oracle.h"
 #include "features/builder.h"
 #include "features/feature_space.h"
 
@@ -53,13 +60,15 @@ size_t EventsPerPass(const WorkloadRun& run, const std::vector<FeatureSpec>& spe
   return events;
 }
 
+// Materializes the full feature space over one interval.
+using BuildFn = std::function<Result<std::vector<Feature>>(const TimeInterval&)>;
+
 // One pass: materialize the full feature space over both annotated intervals.
-void BuildPass(const FeatureBuilder& builder, const std::vector<FeatureSpec>& specs,
-               const WorkloadRun& run, std::vector<Feature>* sink) {
+void BuildPass(const BuildFn& build, const WorkloadRun& run,
+               std::vector<Feature>* sink) {
   for (const TimeInterval& interval :
        {run.annotation.abnormal.range, run.annotation.reference.range}) {
-    std::vector<Feature> feats =
-        CheckResult(builder.Build(specs, interval), "feature build");
+    std::vector<Feature> feats = CheckResult(build(interval), "feature build");
     if (sink != nullptr) {
       sink->insert(sink->end(), std::make_move_iterator(feats.begin()),
                    std::make_move_iterator(feats.end()));
@@ -67,15 +76,14 @@ void BuildPass(const FeatureBuilder& builder, const std::vector<FeatureSpec>& sp
   }
 }
 
-Measurement TimePasses(const FeatureBuilder& builder,
-                       const std::vector<FeatureSpec>& specs, const WorkloadRun& run,
+Measurement TimePasses(const BuildFn& build, const WorkloadRun& run,
                        size_t events_per_pass, size_t iters, size_t reps) {
   Measurement m;
   m.iters = iters;
   double best = 1e30;
   for (size_t rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
-    for (size_t i = 0; i < iters; ++i) BuildPass(builder, specs, run, nullptr);
+    for (size_t i = 0; i < iters; ++i) BuildPass(build, run, nullptr);
     best = std::min(best, timer.ElapsedSeconds() / static_cast<double>(iters));
   }
   m.seconds_per_pass = best;
@@ -87,31 +95,7 @@ bool IdenticalFeatures(const std::vector<Feature>& a, const std::vector<Feature>
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].spec.Name() != b[i].spec.Name()) return false;
-    if (a[i].series.times() != b[i].series.times()) return false;
-    if (a[i].series.values() != b[i].series.values()) return false;  // bitwise
-  }
-  return true;
-}
-
-// Full-pipeline equivalence: the Explanation must not depend on the storage
-// layout behind the scans.
-bool IdenticalExplanations(const WorkloadRun& run, std::string* out_cnf) {
-  ExplainOptions view_options = run.DefaultExplainOptions();
-  view_options.use_legacy_row_scan = false;
-  ExplainOptions row_options = run.DefaultExplainOptions();
-  row_options.use_legacy_row_scan = true;
-  const ExplanationReport view = CheckResult(
-      run.MakeExplanationEngine(std::move(view_options)).Explain(run.annotation),
-      "view explain");
-  const ExplanationReport row = CheckResult(
-      run.MakeExplanationEngine(std::move(row_options)).Explain(run.annotation),
-      "row explain");
-  *out_cnf = view.explanation.ToString();
-  if (view.explanation.ToString() != row.explanation.ToString()) return false;
-  if (view.ranked.size() != row.ranked.size()) return false;
-  for (size_t i = 0; i < view.ranked.size(); ++i) {
-    if (view.ranked[i].spec.Name() != row.ranked[i].spec.Name()) return false;
-    if (view.ranked[i].reward() != row.ranked[i].reward()) return false;  // bitwise
+    if (!SameSeriesBits(a[i].series, b[i].series)) return false;
   }
   return true;
 }
@@ -152,22 +136,26 @@ int main(int argc, char** argv) {
   fprintf(stderr, "[bench] %zu specs, %zu in-range events per pass\n", specs.size(),
           events_per_pass);
 
-  const FeatureBuilder view_builder(run->archive.get(), /*use_legacy_row_scan=*/false);
-  const FeatureBuilder row_builder(run->archive.get(), /*use_legacy_row_scan=*/true);
+  const FeatureBuilder builder(run->archive.get());
+  const BuildFn view_build = [&](const TimeInterval& interval) {
+    return builder.Build(specs, interval);
+  };
+  const BuildFn row_build = [&](const TimeInterval& interval) {
+    const FeatureRowSource rows = [&](EventTypeId type) {
+      return run->archive->Scan(type, interval);
+    };
+    return OracleFeatures(rows, specs, interval);
+  };
 
-  // Correctness first: identical Features, then an identical end-to-end
-  // Explanation. A perf win that changes results would be a bug, not a win.
+  // Correctness first: identical Features. A perf win that changes results
+  // would be a bug, not a win.
   std::vector<Feature> view_feats;
   std::vector<Feature> row_feats;
-  BuildPass(view_builder, specs, *run, &view_feats);
-  BuildPass(row_builder, specs, *run, &row_feats);
+  BuildPass(view_build, *run, &view_feats);
+  BuildPass(row_build, *run, &row_feats);
   const bool features_identical = IdenticalFeatures(view_feats, row_feats);
-  std::string cnf;
-  const bool explanations_identical = IdenticalExplanations(*run, &cnf);
-  if (!features_identical || !explanations_identical) {
-    fprintf(stderr, "FAIL: view path diverged from row path (features %s, "
-            "explanations %s)\n", features_identical ? "ok" : "DIFFER",
-            explanations_identical ? "ok" : "DIFFER");
+  if (!features_identical) {
+    fprintf(stderr, "FAIL: view path diverged from the row oracle\n");
     return 1;
   }
   view_feats.clear();
@@ -176,7 +164,7 @@ int main(int argc, char** argv) {
   // Calibrate the inner iteration count off the row baseline so each timed
   // rep runs long enough to shed scheduler noise.
   Stopwatch calibrate;
-  BuildPass(row_builder, specs, *run, nullptr);
+  BuildPass(row_build, *run, nullptr);
   const double single = calibrate.ElapsedSeconds();
   const double target = smoke ? 0.2 : 1.0;  // seconds per timed rep
   const size_t iters =
@@ -184,21 +172,19 @@ int main(int argc, char** argv) {
 
   fprintf(stderr, "[bench] timing row baseline (%zu iters x %zu reps) ...\n", iters,
           reps);
-  const Measurement row = TimePasses(row_builder, specs, *run, events_per_pass,
-                                     iters, reps);
+  const Measurement row = TimePasses(row_build, *run, events_per_pass, iters, reps);
   fprintf(stderr, "[bench] timing columnar view ...\n");
-  const Measurement view = TimePasses(view_builder, specs, *run, events_per_pass,
-                                      iters, reps);
+  const Measurement view = TimePasses(view_build, *run, events_per_pass, iters, reps);
   const double speedup = view.events_per_sec / std::max(row.events_per_sec, 1e-12);
 
   printf("\nScan + FeatureBuilder throughput, %s (%zu specs, %zu events/pass)\n",
          def.name.c_str(), specs.size(), events_per_pass);
   printf("%-22s %14s %16s\n", "mode", "s/pass", "events/sec");
-  printf("%-22s %14.5f %16.0f\n", "row (legacy Scan)", row.seconds_per_pass,
+  printf("%-22s %14.5f %16.0f\n", "row (oracle on Scan)", row.seconds_per_pass,
          row.events_per_sec);
   printf("%-22s %14.5f %16.0f\n", "columnar (ScanView)", view.seconds_per_pass,
          view.events_per_sec);
-  printf("\nresults: features identical, explanation identical (%s)\n", cnf.c_str());
+  printf("\nresults: features identical\n");
   printf("acceptance: view = %.2fx row baseline %s\n", speedup,
          smoke ? "(smoke run; gate applies to the full run)"
                : (speedup >= 2.0 ? "(PASS, >= 2x)" : "(FAIL, < 2x)"));
@@ -233,8 +219,6 @@ int main(int argc, char** argv) {
   json.Double(speedup);
   json.Key("features_identical");
   json.Bool(features_identical);
-  json.Key("explanations_identical");
-  json.Bool(explanations_identical);
   json.MemoryObject(SampleMemoryStats());
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;

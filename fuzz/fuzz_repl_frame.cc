@@ -24,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "archive/serialization.h"
 #include "event/registry.h"
 #include "net/frame.h"
 #include "net/replication_receiver.h"

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Gate the tiered-archive benchmark (machine-independent).
 
-bench_archive_tiers serializes the same simulator archive through every
-spill format and reports the on-disk byte counts, plus correctness
+bench_archive_tiers sizes the same simulator archive in the v4 spill
+format and in the uncompressed columnar layout (the retired v3 format,
+computed in closed form) and reports both byte counts, plus correctness
 booleans from its tiered-vs-exact differential Explain run. Byte counts
 and booleans do not depend on hardware speed, so this gate runs on any
 machine; the wall-clock speedups in the JSON are informational here

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Gate the continuous-serving Explain benchmark (machine-independent).
 
-bench_explain_qps runs one explanation through three feature paths
-(incremental tails, columnar archive scan, legacy row scan) and reports
-bit-identity booleans, the single-flight computation count for
+bench_explain_qps runs one explanation through two feature paths
+(incremental tails, columnar archive scan), checks the annotation's
+features built through the tails against the row-folding reference
+oracle, and reports bit-identity booleans, the single-flight computation count for
 concurrent callers of one cold key, and the cached/uncached and
 incremental/scan speed ratios. The booleans and the computation count do
 not depend on hardware speed, so this gate runs on any machine. The
@@ -13,8 +14,9 @@ optionally, a committed baseline; absolute wall-clock numbers are
 informational only.
 
 Checks, in order:
-  1. Correctness: ``incremental_identical`` and ``legacy_identical`` are
-     true (the serving layer must never change an explanation), and
+  1. Correctness: ``incremental_identical`` and ``oracle_identical`` are
+     true (the serving layer must never change an explanation, and its
+     features must equal the oracle's), and
      ``tail_full_hits + tail_partial_hits`` > 0 (the incremental pass
      really answered from the tails).
   2. Single-flight: ``single_flight_computations`` == 1 — concurrent
@@ -83,7 +85,7 @@ def main() -> None:
 
     for key in (
         "incremental_identical",
-        "legacy_identical",
+        "oracle_identical",
         "single_flight_computations",
         "cached_speedup",
         "incremental_speedup",
@@ -100,9 +102,10 @@ def main() -> None:
             "incremental-tail explanation diverged from the archive scan — "
             "the serving layer must be bit-identical"
         )
-    if not cur["legacy_identical"]:
+    if not cur["oracle_identical"]:
         failures.append(
-            "legacy row-scan explanation diverged from the columnar scan"
+            "features built through the tails diverged from the reference "
+            "oracle's"
         )
     if cur["tail_full_hits"] + cur["tail_partial_hits"] <= 0:
         failures.append(

@@ -123,7 +123,7 @@ void EventArchive::MaybeSpillLocked(Shard* shard, EventTypeId type) {
     size_t retries = 0;
     const Status spilled = RetryWithBackoff(
         options_.spill_retry,
-        [&] { return list[cursor]->SpillTo(path, options_.spill_format); },
+        [&] { return list[cursor]->SpillTo(path); },
         [](const Status& s) { return s.IsIOError(); }, &retries);
     spill_write_retries_.fetch_add(retries, std::memory_order_relaxed);
     if (!spilled.ok()) {
@@ -459,6 +459,7 @@ Result<uint64_t> EventArchive::CheckpointTo(const std::string& dir,
     std::string path;
     std::shared_ptr<const ChunkColumns> columns;  // resident kinds only
   };
+  bool any_spilled = false;
   for (size_t t = 0; t < shards_.size(); ++t) {
     const Shard& shard = shards_[t];
     std::vector<Entry> entries;
@@ -474,6 +475,7 @@ Result<uint64_t> EventArchive::CheckpointTo(const std::string& dir,
         if (chunk->spilled()) {
           e.kind = chunk->raw_evicted() ? kChunkEvicted : kChunkSpilled;
           e.path = chunk->spill_path();
+          any_spilled = true;
         } else if (chunk->sealed()) {
           e.kind = kChunkResidentSealed;
           e.columns = chunk->resident_columns();
@@ -504,6 +506,14 @@ Result<uint64_t> EventArchive::CheckpointTo(const std::string& dir,
       out->Put<uint8_t>(e.quarantined);
       out->PutString(e.path);
     }
+  }
+  // Spilled chunks are recorded as already durable, and once the caller's
+  // MANIFEST lands it may drop the WAL segments holding their events. Spills
+  // rename into spill_dir without syncing it (that would cost one fsync per
+  // spill on the ingest path), so the renames are made durable here, once.
+  // (Chunks restored from a checkpoint were synced by the one that wrote it.)
+  if (any_spilled && options_.spill_dir.has_value()) {
+    EXSTREAM_RETURN_NOT_OK(SyncDir(*options_.spill_dir));
   }
   return epoch;
 }

@@ -34,9 +34,6 @@ struct ArchiveOptions {
   std::optional<std::string> spill_dir;
   /// Resident sealed-chunk budget per event type before spilling (FIFO).
   size_t max_resident_chunks = 64;
-  /// On-disk format for new spill files (v4 = compressed columnar with
-  /// per-block CRC32s; files written by older builds stay readable).
-  SpillFormat spill_format = SpillFormat::kV4;
   /// Downsampled-tier windows built per sealed chunk (ascending; empty
   /// disables tiering). A resolution-aware scan whose resolution is a
   /// multiple of a tier window is answered from that tier without touching
@@ -119,7 +116,7 @@ class EventArchive : public EventSink {
                                Timestamp resolution = 0) const;
 
   /// \brief All events of `type` with ts in the interval, in time order, as
-  /// materialized rows. Compatibility shim over ScanColumns: each event is
+  /// materialized rows. Row-materializing wrapper over ScanColumns: each event is
   /// rebuilt from the column segments (same degradation contract).
   Result<std::vector<Event>> Scan(EventTypeId type, const TimeInterval& interval,
                                   DegradationReport* degradation,
@@ -188,9 +185,10 @@ class EventArchive : public EventSink {
 
   /// \brief Checkpoint support: appends the archive's chunk index to `out`
   /// and writes every resident chunk's columns under `dir` (file per chunk).
-  /// Spilled chunks are referenced by their spill path — already durable, so
-  /// the checkpoint stores only their index entry. Must not run concurrently
-  /// with appends (scans are fine).
+  /// Spilled chunks are referenced by their spill path, so the checkpoint
+  /// stores only their index entry; `spill_dir` is synced once before return
+  /// to make their renames durable. Must not run concurrently with appends
+  /// (scans are fine).
   ///
   /// Chunk files carry a per-checkpoint epoch (`chunk_<epoch>_<type>_<i>.col`,
   /// epoch = 1 + the highest epoch already in `dir`), so re-checkpointing into

@@ -32,10 +32,10 @@ void Chunk::BuildTiers(const std::vector<Timestamp>& windows) {
   if (!tiers->empty()) tiers_ = std::move(tiers);
 }
 
-Status Chunk::SpillTo(const std::string& path, SpillFormat format) {
+Status Chunk::SpillTo(const std::string& path) {
   if (!sealed_) return Status::Internal("spill of unsealed chunk");
   if (spilled_) return Status::OK();
-  EXSTREAM_RETURN_NOT_OK(WriteColumnsFile(path, *columns_, format));
+  EXSTREAM_RETURN_NOT_OK(WriteColumnsFile(path, *columns_));
   if (tiers_ != nullptr) {
     // Best-effort: a failed sidecar write costs nothing now (tiers stay
     // resident) and restore rebuilds tiers from the spill file if the
@@ -55,22 +55,6 @@ Status Chunk::EvictRaw() {
   EXSTREAM_RETURN_NOT_OK(RemoveFileIfExists(spill_path_));
   raw_evicted_ = true;
   return Status::OK();
-}
-
-Result<std::vector<Event>> Chunk::Load() const {
-  std::vector<Event> out;
-  if (!spilled_) {
-    columns_->MaterializeRows(0, columns_->rows(), &out);
-    return out;
-  }
-  if (quarantined()) {
-    return Status::Corruption("chunk quarantined: " + spill_path_ + ".quarantine");
-  }
-  if (raw_evicted_) {
-    return Status::NotFound("chunk raw data evicted by tier-0 retention: " +
-                            spill_path_);
-  }
-  return ReadEventsFile(spill_path_);
 }
 
 std::shared_ptr<Chunk> Chunk::AdoptResident(EventTypeId type, size_t capacity,

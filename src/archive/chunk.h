@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "archive/columns.h"
-#include "archive/serialization.h"
 #include "archive/tiers.h"
 #include "common/result.h"
 #include "event/event.h"
@@ -87,16 +86,12 @@ class Chunk {
   /// Writes the columns to `path` and drops the in-memory copy. Requires
   /// sealed. Also writes the tier sidecar (`path.tiers`, best-effort — tiers
   /// stay resident regardless, and restore can rebuild them from the spill).
-  Status SpillTo(const std::string& path, SpillFormat format = SpillFormat::kV4);
+  Status SpillTo(const std::string& path);
 
   /// \brief Tier-0 retention: deletes the raw spill file, keeping the index
   /// entry, tiers, and sidecar. Requires spilled; quarantined chunks are left
   /// alone (their renamed file is triage evidence). Idempotent.
   Status EvictRaw();
-
-  /// Events of the chunk as rows; reloads from the spill file if necessary.
-  /// Fails with Status::Corruption if the chunk has been quarantined.
-  Result<std::vector<Event>> Load() const;
 
   /// \brief Marks the chunk's spill file unreadable and retires it: the file
   /// is renamed to `<path>.quarantine` (preserved for offline triage) and

@@ -42,7 +42,7 @@ struct AttributeColumn {
   std::vector<std::string> dict;  ///< string dictionary (first-seen order)
 
   /// Dense cursor positions of `ints` / `str_ids` for the given first row.
-  /// O(row) tag walk; used by the row-materializing compatibility path only.
+  /// O(row) tag walk; used by row materialization only.
   std::pair<size_t, size_t> DenseOffsetsAt(size_t row) const;
 };
 
@@ -82,7 +82,7 @@ class ChunkColumns {
   /// by binary search on the sorted ts column.
   std::pair<size_t, size_t> RowRange(const TimeInterval& interval) const;
 
-  /// Lossless reconstruction of row `i` as an Event (the compatibility path).
+  /// Lossless reconstruction of row `i` as an Event (row materialization).
   /// `int_off`/`str_off` are the dense cursors for row i (see DenseOffsetsAt)
   /// and are advanced past the row's values.
   Event MaterializeRow(size_t i, size_t* int_off, size_t* str_off) const;
@@ -124,7 +124,7 @@ struct TierColumns;  // archive/tiers.h
 /// chunks are deserialized straight into columns owned by the view; the open
 /// tail is the one copied segment (it is still mutating under the shard
 /// lock). Segments are in chunk order, so concatenating them yields the same
-/// time-ordered rows a legacy row Scan returns.
+/// time-ordered rows the row-materializing EventArchive::Scan returns.
 ///
 /// A resolution-aware scan (EventArchive::ScanColumns with resolution > 0)
 /// may answer a sealed chunk from a downsampled tier instead of raw rows: the
@@ -164,7 +164,8 @@ struct ScanView {
   size_t rows() const;
   bool empty() const { return rows() == 0 && tier_segments.empty(); }
 
-  /// Materializes every in-range raw row, in order — the legacy Scan output.
+  /// Materializes every in-range raw row, in order — EventArchive::Scan's
+  /// output.
   /// Tier segments cannot be materialized as events and must be empty when a
   /// caller needs exact rows (scans with resolution 0 never produce them).
   void MaterializeEvents(std::vector<Event>* out) const;

@@ -1,9 +1,6 @@
 // BytesWriter / BytesReader: the little-endian POD + length-prefixed-string
-// codec shared by the WAL record framing and the checkpoint manifest.
-//
-// The spill serializer (archive/serialization.cc) keeps its own private
-// reader because its error messages are format-specific; this header is the
-// general-purpose variant for new binary surfaces. Same conventions:
+// codec shared by the WAL record framing, the checkpoint manifest, and the
+// spill codec's headers and v2 row payload (archive/serialization.cc).
 // Truncated when the buffer ends early, no exceptions, no allocation on the
 // happy POD path.
 

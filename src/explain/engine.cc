@@ -27,8 +27,7 @@ ExplanationEngine::ExplanationEngine(const EventArchive* archive,
       series_provider_(std::move(series_provider)),
       options_(std::move(options)),
       specs_(GenerateFeatureSpecs(archive->registry(), options_.feature_space)),
-      builder_(archive, options_.use_legacy_row_scan,
-               options_.use_legacy_row_scan ? nullptr : recent),
+      builder_(archive, recent),
       pool_(options_.num_threads == 1
                 ? nullptr
                 : std::make_unique<ThreadPool>(options_.num_threads)) {}

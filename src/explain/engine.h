@@ -65,10 +65,6 @@ struct ExplainOptions {
   /// Status::DeadlineExceeded whose message names the stage reached, and the
   /// worker pool is left idle and reusable.
   double deadline_ms = 0.0;
-  /// Feature materialization reads row-materializing archive Scans instead of
-  /// the columnar ScanView path. Output is bit-identical either way; the flag
-  /// exists as the A/B baseline for determinism tests and benchmarks.
-  bool use_legacy_row_scan = false;
   /// Let *reference-side* feature scans (the reference interval of the
   /// reward ranking and Step 2's reference-labeled pools) be answered from
   /// the archive's downsampled tiers when a tier window divides the feature
@@ -123,8 +119,7 @@ class ExplanationEngine {
   ///        is skipped entirely)
   /// \param recent incremental recent-interval tails; when non-null,
   ///        exact-resolution feature scans covered by the tails skip the
-  ///        archive (bit-identical rows; see features/incremental.h). Ignored
-  ///        on the legacy row-scan path.
+  ///        archive (bit-identical rows; see features/incremental.h).
   ExplanationEngine(const EventArchive* archive, const PartitionTable* partitions,
                     SeriesProvider series_provider, ExplainOptions options = {},
                     const IncrementalFeatureState* recent = nullptr);

@@ -11,24 +11,11 @@ namespace exstream {
 
 namespace {
 
-// Builds the raw (type, attribute) series from a scanned event vector.
-TimeSeries RawSeries(const std::vector<Event>& events, size_t attr_index) {
-  TimeSeries out;
-  out.Reserve(events.size());
-  for (const Event& e : events) {
-    if (attr_index >= e.values.size()) continue;
-    // Append drops NaN; out-of-order cannot occur because Scan returns
-    // time-ordered events.
-    (void)out.Append(e.ts, e.values[attr_index].AsDouble());
-  }
-  return out;
-}
-
 // Builds the raw (type, attribute) series straight off column spans: a walk
 // over the pinned ts array and the attribute's contiguous numeric view, no
-// Event materialization. Matches RawSeries bit for bit: a missing tag is the
-// rows-with-fewer-values case RawSeries skips, and `nums` holds the same
-// AsDouble conversion (NaN for strings, which Append drops either way).
+// Event materialization. Matches a per-row TimeSeries::Append fold bit for
+// bit: a missing tag is a row with fewer values, skipped, and `nums` holds
+// the AsDouble conversion (NaN for strings, which Append drops either way).
 TimeSeries RawSeriesFromView(const ScanView& view, size_t attr_index) {
   TimeSeries out;
   out.Reserve(view.rows());
@@ -56,6 +43,8 @@ Result<TimeSeries> CountOverInterval(const TimeSeries& raw, Timestamp window,
                                      const TimeInterval& interval) {
   if (window <= 0) return Status::InvalidArgument("window must be positive");
   TimeSeries out;
+  // An empty (inverted) interval has no windows.
+  if (interval.upper < interval.lower) return out;
   out.Reserve(static_cast<size_t>((interval.upper - interval.lower) / window) + 1);
   const auto& times = raw.times();
   size_t idx = 0;
@@ -71,8 +60,8 @@ Result<TimeSeries> CountOverInterval(const TimeSeries& raw, Timestamp window,
 }
 
 // One absolute-aligned aggregation window being folded from tier windows
-// and/or raw rows. `count` counts numeric samples (matching what RawSeries
-// keeps: NaN and missing rows are excluded everywhere).
+// and/or raw rows. `count` counts numeric samples (matching what the raw
+// series keeps: NaN and missing rows are excluded everywhere).
 struct WindowPartial {
   Timestamp wend = 0;
   uint64_t count = 0;
@@ -227,13 +216,12 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
   // resolution is the gcd of the aggregate windows, so any tier whose window
   // divides it nests into every spec's aggregation windows. Without tiering
   // the split is inert (every spec maps to the type's single exact slot).
-  const bool tiering = allow_tiers && !use_legacy_row_scan_;
   std::vector<EventTypeId> scan_types;
   std::vector<char> scan_wants_tier;  // parallel to scan_types
   std::vector<size_t> spec_scan(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     const EventTypeId type = specs[i].type;
-    const char tiered = tiering && specs[i].agg != AggregateKind::kRaw &&
+    const char tiered = allow_tiers && specs[i].agg != AggregateKind::kRaw &&
                         specs[i].window > 0;
     size_t slot = 0;
     while (slot < scan_types.size() &&
@@ -254,17 +242,13 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
     }
   }
   std::vector<Result<ScanView>> views(scan_types.size(), ScanView{});
-  std::vector<Result<std::vector<Event>>> row_scans(
-      use_legacy_row_scan_ ? scan_types.size() : 0, std::vector<Event>{});
   std::vector<DegradationReport> scan_degradation(scan_types.size());
   const size_t scans_done = ParallelFor(
       pool, scan_types.size(),
       [&](size_t i) {
         DegradationReport* deg =
             degradation != nullptr ? &scan_degradation[i] : nullptr;
-        if (use_legacy_row_scan_) {
-          row_scans[i] = archive_->Scan(scan_types[i], interval, deg, cancel);
-        } else if (recent_ != nullptr && scan_resolution[i] == 0) {
+        if (recent_ != nullptr && scan_resolution[i] == 0) {
           // Exact-resolution scans may be served from the incremental tail
           // (cold prefixes backfill from the archive inside). Tiered slots
           // stay on the archive: a tier answer is not reproducible from the
@@ -285,19 +269,13 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
         StrFormat("feature build cancelled during archive scans (%zu/%zu types)",
                   scans_done, scan_types.size()));
   }
-  if (use_legacy_row_scan_) {
-    for (const auto& scan : row_scans) EXSTREAM_RETURN_NOT_OK(scan.status());
-  } else {
-    for (const auto& view : views) EXSTREAM_RETURN_NOT_OK(view.status());
-  }
+  for (const auto& view : views) EXSTREAM_RETURN_NOT_OK(view.status());
   // A slot is tiered iff at least one chunk actually answered from a tier;
   // otherwise the view is raw-only and the classic fold below stays
   // bit-identical to an allow_tiers=false build.
   std::vector<char> slot_tiered(scan_types.size(), 0);
-  if (!use_legacy_row_scan_) {
-    for (size_t s = 0; s < views.size(); ++s) {
-      slot_tiered[s] = views[s]->tier_segments.empty() ? 0 : 1;
-    }
+  for (size_t s = 0; s < views.size(); ++s) {
+    slot_tiered[s] = views[s]->tier_segments.empty() ? 0 : 1;
   }
 
   // Stage 2: derive each (type, attr) raw series once.
@@ -319,9 +297,8 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
       pool, raw_pairs.size(),
       [&](size_t i) {
         const auto& [s, attr] = raw_pairs[i];
-        if (!use_legacy_row_scan_ && slot_tiered[s]) return;  // folded in stage 3
-        raws[i] = use_legacy_row_scan_ ? RawSeries(*row_scans[s], attr)
-                                       : RawSeriesFromView(*views[s], attr);
+        if (slot_tiered[s]) return;  // folded in stage 3
+        raws[i] = RawSeriesFromView(*views[s], attr);
       },
       cancel);
   if (cancel != nullptr && cancel->Expired()) {
@@ -337,7 +314,7 @@ Result<std::vector<Feature>> FeatureBuilder::Build(const std::vector<FeatureSpec
     const TimeSeries& raw = raws[spec_raw[i]];
     Feature f;
     f.spec = s;
-    if (!use_legacy_row_scan_ && slot_tiered[spec_scan[i]]) {
+    if (slot_tiered[spec_scan[i]]) {
       // Tiered slots never carry raw specs (those pin the scan to exact
       // rows), so every spec here folds windows straight off the view.
       auto series = TieredAggregate(*views[spec_scan[i]], s, interval);

@@ -20,25 +20,21 @@ namespace exstream {
 /// shared across all aggregates/windows derived from that pair, so the
 /// archive read amplification is independent of the feature-space size.
 ///
-/// By default scans go through the archive's columnar ScanView path: raw
-/// series are folded straight off pinned ts/value column spans, with no
-/// per-event materialization. `use_legacy_row_scan` switches to the row
-/// `Scan` shim — same output bit for bit, kept as the A/B baseline for
-/// determinism tests and benchmarks.
+/// Scans go through the archive's columnar ScanView path: raw series are
+/// folded straight off pinned ts/value column spans, with no per-event
+/// materialization. The test-only reference oracle (tests/feature_oracle.h)
+/// folds materialized rows instead and must agree bit for bit.
 ///
 /// With `recent` set, exact-resolution scans are answered from the
 /// incremental in-memory tail when it covers the interval (archive scans
 /// remain the backfill for cold prefixes). Rows are byte-identical either
 /// way, so features — and the explanations built from them — do not change;
-/// tiered scans and the legacy row path always go straight to the archive.
+/// tiered scans always go straight to the archive.
 class FeatureBuilder {
  public:
   explicit FeatureBuilder(const EventArchive* archive,
-                          bool use_legacy_row_scan = false,
                           const IncrementalFeatureState* recent = nullptr)
-      : archive_(archive),
-        use_legacy_row_scan_(use_legacy_row_scan),
-        recent_(recent) {}
+      : archive_(archive), recent_(recent) {}
 
   /// \brief Materializes each spec over `interval`.
   ///
@@ -80,7 +76,6 @@ class FeatureBuilder {
 
  private:
   const EventArchive* archive_;  // not owned
-  bool use_legacy_row_scan_ = false;
   const IncrementalFeatureState* recent_ = nullptr;  // not owned, may be null
 };
 

@@ -8,8 +8,8 @@
 // starts earlier backfills the cold prefix from the archive and takes the
 // tail for the rest. Both paths produce byte-identical rows to a full
 // archive scan (same append order, same columnar fold), so explanations are
-// bit-identical whichever path answered — the same contract PR 4's
-// use_legacy_row_scan A/B established for view-vs-row scans.
+// bit-identical whichever path answered; the feature property test checks
+// both against the row-folding reference oracle (tests/feature_oracle.h).
 
 #pragma once
 

@@ -78,13 +78,37 @@ Status WriteFileAtomic(const std::string& path, std::string data) {
   // The rename itself is only durable once the directory entry is on disk;
   // without this a post-rename crash can resurrect the old file, which would
   // break sync-then-ack consumers (the replication ledger ACKs only after
-  // this returns). Best-effort: some filesystems refuse directory fsync.
+  // this returns).
   const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dir_fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    fsync(dir_fd);
-    close(dir_fd);
+  return SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
+}
+
+Status SyncDir(const std::string& dir) {
+  if (auto fault = FaultInjector::Global().Intercept(FaultOp::kWrite, "dir-sync", dir)) {
+    switch (fault->mode) {
+      case FaultMode::kFailOpen:
+      case FaultMode::kReset:
+      case FaultMode::kNoSpace:
+        return Status::IOError("injected failure syncing directory " + dir);
+      case FaultMode::kDelay:
+        std::this_thread::sleep_for(std::chrono::milliseconds(fault->delay_ms));
+        break;
+      case FaultMode::kTruncate:
+      case FaultMode::kCorruptBytes:
+        break;  // no payload to damage
+    }
+  }
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IOError(
+        StrFormat("cannot open directory %s: %s", dir.c_str(), strerror(errno)));
+  }
+  const int rc = fsync(fd);
+  const int err = errno;
+  close(fd);
+  if (rc != 0 && err != EINVAL) {
+    return Status::IOError(
+        StrFormat("cannot fsync directory %s: %s", dir.c_str(), strerror(err)));
   }
   return Status::OK();
 }

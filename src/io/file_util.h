@@ -17,11 +17,17 @@ namespace exstream {
 /// exists as a directory.
 Status EnsureDir(const std::string& dir);
 
-/// \brief Writes `data` to `path` atomically: temp file + fsync + rename.
-/// Honors injected write faults (same contract as the spill writers: a
-/// kTruncate fault publishes only a prefix under the final name, simulating
-/// post-rename media loss).
+/// \brief Writes `data` to `path` atomically: temp file + fsync + rename +
+/// SyncDir of the parent directory. Honors injected write faults (same
+/// contract as the spill writers: a kTruncate fault publishes only a prefix
+/// under the final name, simulating post-rename media loss).
 Status WriteFileAtomic(const std::string& path, std::string data);
+
+/// \brief Fsyncs directory `dir`, making the renames and creations inside it
+/// durable. Honors injected faults (op kWrite, site "dir-sync", path `dir`):
+/// kFailOpen/kReset/kNoSpace fail the sync, kDelay adds latency. A filesystem
+/// that cannot fsync directories (EINVAL) counts as synced.
+Status SyncDir(const std::string& dir);
 
 /// \brief Reads the raw bytes of `path`, honoring injected read faults.
 Result<std::string> ReadFileToString(const std::string& path);

@@ -13,9 +13,9 @@
 //   record:          u32 magic "WREC", u64 first_seq, u32 event count,
 //                    u32 payload length, u32 CRC32(payload), payload
 //
-// The payload is SerializeEvents(batch) — the archive's own v3 columnar
-// codec (with its v2 row fallback for mixed-type batches), so WAL bytes and
-// spill bytes share one deserializer. A torn final record (crash mid-append)
+// The payload is SerializeEvents(batch) — the archive's own v4 compressed
+// columnar codec (with its v2 row fallback for mixed-type batches), so WAL
+// bytes and spill bytes share one deserializer. A torn final record (crash mid-append)
 // is detected by the frame bounds/CRC and tolerated; corruption before the
 // tail is reported as data loss.
 //

@@ -138,9 +138,8 @@ struct ChunkFrame {
   uint64_t chunk_id = 0;
   uint64_t first_seq = 0;
   uint32_t event_count = 0;
-  /// SerializeEvents(events, kV4) — the compressed spill codec, reused
-  /// verbatim (receivers accept any spill format version, so mixed-version
-  /// pairs interoperate).
+  /// SerializeEvents(events) — the compressed spill codec, reused verbatim
+  /// (v4 for single-type chunks, the v2 row layout for mixed ones).
   std::string events;
 
   std::string Encode() const;

@@ -13,15 +13,11 @@ namespace exstream {
 namespace {
 constexpr uint32_t kGapStateMagic = 0x47525845;  // "EXRG"
 constexpr uint32_t kLedgerVersion = 2;
-/// v1 files are exactly magic + u64 gap total.
-constexpr size_t kV1FileBytes = 4 + 8;
 }  // namespace
 
-void ReplLedger::Configure(std::optional<std::string> path,
-                           std::string legacy_tenant) {
+void ReplLedger::Configure(std::optional<std::string> path) {
   std::lock_guard<std::mutex> lock(mu_);
   path_ = std::move(path);
-  legacy_tenant_ = std::move(legacy_tenant);
 }
 
 Status ReplLedger::Load() {
@@ -33,13 +29,6 @@ Status ReplLedger::Load() {
   EXSTREAM_ASSIGN_OR_RETURN(const uint32_t magic, r.Get<uint32_t>());
   if (magic != kGapStateMagic) {
     return Status::Corruption("bad replication ledger magic in " + *path_);
-  }
-  if (data->size() == kV1FileBytes) {
-    // Single-child v1 state: one gap total, owned by the legacy tenant and
-    // claimed by its first child to connect.
-    EXSTREAM_ASSIGN_OR_RETURN(const uint64_t gap, r.Get<uint64_t>());
-    if (gap > 0) unclaimed_gap_[legacy_tenant_] += gap;
-    return Status::OK();
   }
   EXSTREAM_ASSIGN_OR_RETURN(const uint32_t version, r.Get<uint32_t>());
   if (version != kLedgerVersion) {
@@ -137,7 +126,6 @@ uint64_t ReplLedger::AggregateWatermark() const {
   uint64_t total = 0;
   for (const auto& [key, e] : entries_) total += e.watermark();
   for (const auto& [tenant, n] : unclaimed_applied_) total += n;
-  for (const auto& [tenant, n] : unclaimed_gap_) total += n;
   return total;
 }
 
@@ -147,8 +135,6 @@ uint64_t ReplLedger::TenantShedTotal(const std::string& tenant) const {
   for (const auto& [key, e] : entries_) {
     if (key.first == tenant) total += e.gap_events + e.quota_shed;
   }
-  auto gap = unclaimed_gap_.find(tenant);
-  if (gap != unclaimed_gap_.end()) total += gap->second;
   return total;
 }
 
@@ -159,12 +145,6 @@ uint64_t ReplLedger::Open(const std::string& tenant, const std::string& child) {
   if (applied != unclaimed_applied_.end()) {
     e.applied += applied->second;
     unclaimed_applied_.erase(applied);
-    dirty_ = true;
-  }
-  auto gap = unclaimed_gap_.find(tenant);
-  if (gap != unclaimed_gap_.end()) {
-    e.gap_events += gap->second;
-    unclaimed_gap_.erase(gap);
     dirty_ = true;
   }
   return e.watermark();
@@ -241,7 +221,7 @@ ReplLedger::ReconcileResult ReplLedger::ReconcileTenant(
   }
   if (recovered_seq > ledger_applied) {
     // Events recovered from the WAL that no child entry accounts for — a
-    // ledger that lagged the WAL (memory-only ledgers, v1 files). Parked for
+    // ledger that lagged the WAL (a memory-only ledger). Parked for
     // the tenant's first child to claim at HELLO.
     result.unclaimed = recovered_seq - ledger_applied;
     unclaimed_applied_[tenant] += result.unclaimed;

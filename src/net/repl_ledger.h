@@ -22,14 +22,13 @@
 // recovered seq S against the ledger sum L: a pending marker resolves to
 // "landed" iff S == L + count (one frame is one atomic WAL record, so there
 // is no in-between), surplus S - L is parked as an unclaimed pool the
-// tenant's next child HELLO absorbs (legacy single-child files carry no child
-// key), and a deficit only clamps `applied` down — the un-acked events are
-// still spooled at the child and will be re-applied.
+// tenant's next child HELLO absorbs, and a deficit only clamps `applied`
+// down — the un-acked events are still spooled at the child and will be
+// re-applied.
 //
 // File format v2 ("EXRG" magic, version, CRC32 body): per-entry
-// tenant/child/applied/gap/quota rows plus pending markers. 12-byte v1 files
-// (magic + u64 gap total) written by the single-child receiver load as an
-// unclaimed gap pool for the configured legacy tenant.
+// tenant/child/applied/gap/quota rows plus pending markers. Any other
+// version, including the retired 12-byte v1 single-child file, fails Load.
 
 #pragma once
 
@@ -56,9 +55,8 @@ class ReplLedger {
     uint64_t watermark() const { return applied + gap_events + quota_shed; }
   };
 
-  /// Sets the backing file (nullopt = memory only) and the tenant that owns
-  /// state from legacy v1 files. Call once, before Load().
-  void Configure(std::optional<std::string> path, std::string legacy_tenant);
+  /// Sets the backing file (nullopt = memory only). Call once, before Load().
+  void Configure(std::optional<std::string> path);
 
   /// Loads the backing file if it exists. A missing file is a fresh ledger.
   Status Load();
@@ -69,19 +67,19 @@ class ReplLedger {
   /// All entries, sorted by (tenant, child).
   std::vector<std::tuple<std::string, std::string, Entry>> Snapshot() const;
 
-  /// Sum of every identity's watermark plus unclaimed pools — the legacy
-  /// aggregate watermark (exact for single-child receivers).
+  /// Sum of every identity's watermark plus unclaimed pools — the aggregate
+  /// watermark (exact for single-child receivers).
   uint64_t AggregateWatermark() const;
 
-  /// Lifetime disclosed losses for `tenant`: child gaps + parent quota sheds
-  /// + any unclaimed gap pool. Drives restart-time AddExternalShed deltas.
+  /// Lifetime disclosed losses for `tenant`: child gaps + parent quota sheds.
+  /// Drives restart-time AddExternalShed deltas.
   uint64_t TenantShedTotal(const std::string& tenant) const;
 
   /// \brief Opens (tenant, child) at HELLO time: creates the entry if absent
-  /// and folds the tenant's unclaimed pools (recovered-but-unattributed
-  /// applied events, legacy v1 gap totals) into it — the first child to
-  /// connect inherits them, which is exactly the single-child semantics those
-  /// pools came from. Returns the identity's resume watermark.
+  /// and folds the tenant's unclaimed pool of recovered-but-unattributed
+  /// applied events into it — the first child to connect inherits them,
+  /// which is exactly the single-child semantics the pool came from. Returns
+  /// the identity's resume watermark.
   uint64_t Open(const std::string& tenant, const std::string& child);
 
   /// Records `events` the child skipped past (child-shed); persisted.
@@ -128,15 +126,13 @@ class ReplLedger {
 
   mutable std::mutex mu_;
   std::optional<std::string> path_;
-  std::string legacy_tenant_ = "default";
   std::map<Key, Entry> entries_;
   /// At most one in-flight apply per tenant (the tenant apply lock serializes
   /// sessions), so one marker per tenant suffices.
   std::map<std::string, std::pair<std::string, uint64_t>> pending_;
-  /// Recovered-but-unattributed applied events / legacy v1 gap totals, per
-  /// tenant; folded into the first child to Open().
+  /// Recovered-but-unattributed applied events, per tenant; folded into the
+  /// first child to Open().
   std::map<std::string, uint64_t> unclaimed_applied_;
-  std::map<std::string, uint64_t> unclaimed_gap_;
   bool dirty_ = false;
 };
 

@@ -49,7 +49,7 @@ ReplicationReceiver::~ReplicationReceiver() { Stop(); }
 Status ReplicationReceiver::EnsureStateLoaded() {
   std::lock_guard<std::mutex> lock(mu_);
   if (state_loaded_) return Status::OK();
-  ledger_.Configure(options_.state_path, options_.tenant);
+  ledger_.Configure(options_.state_path);
   EXSTREAM_RETURN_NOT_OK(ledger_.Load());
   for (const std::string& tenant : hub_->tenants()) {
     XStreamSystem* system = hub_->system(tenant);

@@ -80,7 +80,7 @@ void ReplicationSender::SealLocked() {
   chunk.count = static_cast<uint32_t>(n);
   {
     std::vector<Event> events(spool_.begin(), spool_.begin() + n);
-    chunk.payload = SerializeEvents(events, SpillFormat::kV4);
+    chunk.payload = SerializeEvents(events);
   }
   spool_.erase(spool_.begin(), spool_.begin() + n);
   spool_first_seq_ += n;
@@ -260,7 +260,7 @@ void ReplicationSender::SenderLoop() {
           WalTailFrame frame;
           frame.first_seq = spool_first_seq_;
           frame.event_count = static_cast<uint32_t>(spool_.size());
-          frame.events = SerializeEvents(spool_, SpillFormat::kV4);
+          frame.events = SerializeEvents(spool_);
           wire = EncodeFrame(FrameType::kWalTail, frame.Encode());
           tail_sent_seq_ = spool_first_seq_ + spool_.size();
           ++stats_.tail_frames_sent;

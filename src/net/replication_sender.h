@@ -125,7 +125,7 @@ class ReplicationSender {
     uint64_t chunk_id = 0;
     uint64_t first_seq = 0;
     uint32_t count = 0;
-    std::string payload;  ///< SerializeEvents(events, kV4)
+    std::string payload;  ///< SerializeEvents(events)
     bool sent = false;    ///< sent in the current session (reset on reconnect)
   };
 

@@ -1,6 +1,8 @@
 #include "archive/archive.h"
 
 #include <cstdio>
+#include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -230,83 +232,79 @@ std::vector<Event> ChunkLikeEvents() {
   return events;
 }
 
-TEST(SerializationTest, EveryFormatVersionRoundTrips) {
+TEST(SerializationTest, SingleTypeBuffersRoundTripAsColumns) {
   const std::vector<Event> events = ChunkLikeEvents();
-  for (const SpillFormat format :
-       {SpillFormat::kV1, SpillFormat::kV2, SpillFormat::kV3,
-        SpillFormat::kV4}) {
-    const std::string data = SerializeEvents(events, format);
-    // Rows come back identical under every version...
-    auto parsed = DeserializeEvents(data);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    ASSERT_EQ(parsed->size(), events.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ((*parsed)[i].type, events[i].type);
-      EXPECT_EQ((*parsed)[i].ts, events[i].ts);
-      ASSERT_EQ((*parsed)[i].values.size(), 3u);
-      EXPECT_DOUBLE_EQ((*parsed)[i].values[0].AsDouble(),
-                       events[i].values[0].AsDouble());
-      EXPECT_EQ((*parsed)[i].values[1].AsInt64(), events[i].values[1].AsInt64());
-      EXPECT_EQ((*parsed)[i].values[2].AsString(), events[i].values[2].AsString());
-    }
-    // ...and every version also parses straight into columns.
-    auto cols = DeserializeColumns(data);
-    ASSERT_TRUE(cols.ok()) << cols.status().ToString();
-    EXPECT_EQ(cols->rows(), events.size());
-    EXPECT_EQ(cols->type(), 3u);
-    ASSERT_EQ(cols->num_columns(), 3u);
-    EXPECT_DOUBLE_EQ(cols->attr(0).nums[4], 2.0);
+  const std::string data = SerializeEvents(events);
+  auto parsed = DeserializeEvents(data);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ((*parsed)[i].type, events[i].type);
+    EXPECT_EQ((*parsed)[i].ts, events[i].ts);
+    ASSERT_EQ((*parsed)[i].values.size(), 3u);
+    EXPECT_DOUBLE_EQ((*parsed)[i].values[0].AsDouble(),
+                     events[i].values[0].AsDouble());
+    EXPECT_EQ((*parsed)[i].values[1].AsInt64(), events[i].values[1].AsInt64());
+    EXPECT_EQ((*parsed)[i].values[2].AsString(), events[i].values[2].AsString());
   }
+  // The same buffer parses straight into columns.
+  auto cols = DeserializeColumns(data);
+  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  EXPECT_EQ(cols->rows(), events.size());
+  EXPECT_EQ(cols->type(), 3u);
+  ASSERT_EQ(cols->num_columns(), 3u);
+  EXPECT_DOUBLE_EQ(cols->attr(0).nums[4], 2.0);
 }
 
-TEST(SerializationTest, OldFormatFilesReadAsColumns) {
+TEST(SerializationTest, ColumnsFileRoundTrips) {
   char tmpl[] = "/tmp/exstream_file_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string path = std::string(tmpl) + "/chunk.bin";
   const std::vector<Event> events = ChunkLikeEvents();
-  for (const SpillFormat format : {SpillFormat::kV1, SpillFormat::kV2,
-                                   SpillFormat::kV3, SpillFormat::kV4}) {
-    const std::string path =
-        std::string(tmpl) + "/v" + std::to_string(static_cast<int>(format)) + ".bin";
-    ASSERT_TRUE(WriteEventsFile(path, events, format).ok());
-    auto cols = ReadColumnsFile(path);
-    ASSERT_TRUE(cols.ok()) << cols.status().ToString();
-    EXPECT_EQ(cols->rows(), events.size());
-    std::vector<Event> rows;
-    cols->MaterializeRows(0, cols->rows(), &rows);
-    ASSERT_EQ(rows.size(), events.size());
-    EXPECT_EQ(rows[7].values[2].AsString(), "odd");
-  }
+  ASSERT_TRUE(WriteEventsFile(path, events).ok());
+  auto cols = ReadColumnsFile(path);
+  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  EXPECT_EQ(cols->rows(), events.size());
+  std::vector<Event> rows;
+  cols->MaterializeRows(0, cols->rows(), &rows);
+  ASSERT_EQ(rows.size(), events.size());
+  EXPECT_EQ(rows[7].values[2].AsString(), "odd");
 }
 
-TEST(SerializationTest, V3CorruptedColumnIsPinpointed) {
-  const std::string data = SerializeEvents(ChunkLikeEvents(), SpillFormat::kV3);
-  // The buffer tail is the last column's payload (the string dictionary);
-  // flipping a bit there must fail that column's CRC, not crash or misparse.
-  std::string bad = data;
-  bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x40);
-  const Status st = DeserializeEvents(bad).status();
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_NE(st.ToString().find("column"), std::string::npos) << st.ToString();
+// The codec reads v4 columns and v2 rows only; a buffer in a retired layout
+// (EXS1 rows without a checksum, EXS3 uncompressed columns) is rejected, and
+// the error names the magic.
+TEST(SerializationTest, RetiredFormatsAreRejected) {
+  for (const auto& [magic, name] :
+       {std::pair<uint32_t, const char*>{0x45585331u, "EXS1"},
+        std::pair<uint32_t, const char*>{0x45585333u, "EXS3"}}) {
+    SCOPED_TRACE(name);
+    std::string data(64, '\0');
+    std::memcpy(data.data(), &magic, sizeof(magic));
+    for (const Status& st :
+         {DeserializeEvents(data).status(), DeserializeColumns(data).status()}) {
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_NE(st.message().find(name), std::string::npos) << st.ToString();
+    }
+  }
 }
 
 TEST(SerializationTest, MixedTypeBuffersFallBackToRows) {
   std::vector<Event> mixed;
   mixed.emplace_back(0, 1, std::vector<Value>{Value(1.0)});
   mixed.emplace_back(1, 2, std::vector<Value>{Value(int64_t{7})});
-  // A v3/v4 request on a mixed-type buffer writes the row layout (columnar
-  // chunks are single-type by construction); rows still round-trip.
-  for (const SpillFormat format : {SpillFormat::kV3, SpillFormat::kV4}) {
-    const std::string data = SerializeEvents(mixed, format);
-    auto parsed = DeserializeEvents(data);
-    ASSERT_TRUE(parsed.ok());
-    ASSERT_EQ(parsed->size(), 2u);
-    EXPECT_EQ((*parsed)[1].type, 1u);
-    // But folding mixed types into one chunk's columns is a structural error.
-    EXPECT_TRUE(DeserializeColumns(data).status().IsCorruption());
-  }
+  // Columnar chunks are single-type by construction, so a mixed-type buffer
+  // is written in the v2 row layout; rows still round-trip.
+  const std::string data = SerializeEvents(mixed);
+  auto parsed = DeserializeEvents(data);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ((*parsed)[1].type, 1u);
+  // A row buffer is not a chunk's columns.
+  EXPECT_TRUE(DeserializeColumns(data).status().IsCorruption());
 }
 
-TEST(SerializationTest, V4CompressesBelowV3) {
+TEST(SerializationTest, V4CompressesBelowRawColumns) {
   // A chunk-sized run with the value mix spills actually carry: slowly
   // drifting doubles, small ints, and a low-cardinality string column.
   std::vector<Event> events;
@@ -319,9 +317,11 @@ TEST(SerializationTest, V4CompressesBelowV3) {
         std::vector<Value>{Value(level), Value(int64_t{t % 16}),
                            Value(std::string(t % 3 ? "ok" : "slow"))});
   }
-  const std::string v3 = SerializeEvents(events, SpillFormat::kV3);
-  const std::string v4 = SerializeEvents(events, SpillFormat::kV4);
-  EXPECT_LT(v4.size(), v3.size() / 2) << "v4=" << v4.size() << " v3=" << v3.size();
+  // Uncompressed columns: a raw i64 ts, f64, i64 and u32 string id per row.
+  const size_t raw = events.size() * (sizeof(Timestamp) + sizeof(double) +
+                                      sizeof(int64_t) + sizeof(uint32_t));
+  const std::string v4 = SerializeEvents(events);
+  EXPECT_LT(v4.size(), raw / 2) << "v4=" << v4.size() << " raw=" << raw;
   auto parsed = DeserializeColumns(v4);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->rows(), events.size());
@@ -333,7 +333,7 @@ TEST(SerializationTest, V4CompressesBelowV3) {
 }
 
 TEST(SerializationTest, V4CorruptedColumnIsPinpointed) {
-  const std::string data = SerializeEvents(ChunkLikeEvents(), SpillFormat::kV4);
+  const std::string data = SerializeEvents(ChunkLikeEvents());
   // Flip one bit in the last column's compressed payload: the per-block CRC
   // must catch it and name the column, never crash or misdecode.
   std::string bad = data;

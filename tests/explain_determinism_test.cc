@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "feature_oracle.h"
 #include "features/builder.h"
 #include "sim/workloads.h"
 
@@ -26,11 +27,9 @@ WorkloadRunOptions FastOptions() {
   return options;
 }
 
-ExplanationReport ExplainWithThreads(const WorkloadRun& run, size_t num_threads,
-                                     bool use_legacy_row_scan = false) {
+ExplanationReport ExplainWithThreads(const WorkloadRun& run, size_t num_threads) {
   ExplainOptions options = run.DefaultExplainOptions();
   options.num_threads = num_threads;
-  options.use_legacy_row_scan = use_legacy_row_scan;
   ExplanationEngine engine = run.MakeExplanationEngine(std::move(options));
   auto report = engine.Explain(run.annotation);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
@@ -99,29 +98,49 @@ TEST(ExplainDeterminismTest, SupplyChainReportIdenticalAcrossThreadCounts) {
   }
 }
 
-// The columnar ScanView hot path and the legacy row-materializing Scan path
-// must execute the same per-sample arithmetic: identical reports, bit for
-// bit, on both simulators — the storage layout is an implementation detail.
-TEST(ExplainDeterminismTest, ScanViewMatchesLegacyRowScanHadoop) {
-  auto run = BuildWorkloadRun(HadoopWorkloads()[0], FastOptions());
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const ExplanationReport view = ExplainWithThreads(**run, 1, false);
-  ASSERT_FALSE(view.ranked.empty());
-  const ExplanationReport legacy = ExplainWithThreads(**run, 1, true);
-  ExpectIdenticalReports(view, legacy, 1);
-  // The equivalence must also hold when both paths run parallel.
-  const ExplanationReport view_mt = ExplainWithThreads(**run, 8, false);
-  const ExplanationReport legacy_mt = ExplainWithThreads(**run, 8, true);
-  ExpectIdenticalReports(view_mt, legacy_mt, 8);
+// The report's features come from the columnar ScanView path; the
+// row-folding reference oracle must reproduce every abnormal- and
+// reference-interval series bit for bit — the storage layout is an
+// implementation detail.
+void ExpectFeaturesMatchOracle(const WorkloadRun& run,
+                               const ExplanationReport& report) {
+  ASSERT_FALSE(report.ranked.empty());
+  const TimeInterval everything{std::numeric_limits<Timestamp>::min() / 2,
+                                std::numeric_limits<Timestamp>::max() / 2};
+  const FeatureRowSource rows = [&](EventTypeId type) {
+    return run.archive->Scan(type, everything);
+  };
+  std::vector<FeatureSpec> specs;
+  for (const RankedFeature& f : report.ranked) specs.push_back(f.spec);
+  auto abnormal = OracleFeatures(rows, specs, run.annotation.abnormal.range);
+  ASSERT_TRUE(abnormal.ok()) << abnormal.status().ToString();
+  auto reference = OracleFeatures(rows, specs, run.annotation.reference.range);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(SameSeriesBits(report.ranked[i].abnormal_series, (*abnormal)[i].series))
+        << specs[i].Name();
+    EXPECT_TRUE(
+        SameSeriesBits(report.ranked[i].reference_series, (*reference)[i].series))
+        << specs[i].Name();
+  }
 }
 
-TEST(ExplainDeterminismTest, ScanViewMatchesLegacyRowScanSupplyChain) {
+TEST(ExplainDeterminismTest, FeaturesMatchOracleHadoop) {
+  auto run = BuildWorkloadRun(HadoopWorkloads()[0], FastOptions());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (const size_t num_threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    ExpectFeaturesMatchOracle(**run, ExplainWithThreads(**run, num_threads));
+  }
+}
+
+TEST(ExplainDeterminismTest, FeaturesMatchOracleSupplyChain) {
   auto run = BuildWorkloadRun(SupplyChainWorkloads()[0], FastOptions());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const ExplanationReport view = ExplainWithThreads(**run, 1, false);
-  ASSERT_FALSE(view.ranked.empty());
-  const ExplanationReport legacy = ExplainWithThreads(**run, 1, true);
-  ExpectIdenticalReports(view, legacy, 1);
+  for (const size_t num_threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    ExpectFeaturesMatchOracle(**run, ExplainWithThreads(**run, num_threads));
+  }
 }
 
 TEST(ExplainDeterminismTest, RepeatedParallelRunsAreStable) {

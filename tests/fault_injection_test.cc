@@ -1,7 +1,7 @@
-// Resilience tests: spill format v2 checksums and v1 compatibility, the
-// error-code taxonomy (truncation vs corruption), and every FaultInjector
-// mode exercised against the archive's retry / quarantine / degraded-scan
-// machinery.
+// Resilience tests: spill format v2 checksums, the error-code taxonomy
+// (truncation vs corruption), every FaultInjector mode exercised against the
+// archive's retry / quarantine / degraded-scan machinery, and the directory
+// sync that makes spilled chunks durable at checkpoint time.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -18,6 +18,7 @@
 #include "common/fault_injection.h"
 #include "io/file_util.h"
 #include "common/stopwatch.h"
+#include "xstream/system.h"
 
 namespace exstream {
 namespace {
@@ -33,52 +34,42 @@ std::vector<Event> MakeEvents(size_t n) {
   return events;
 }
 
-TEST(SpillFormatTest, V2RoundTrip) {
-  const std::vector<Event> events = MakeEvents(64);
-  const std::string data = SerializeEvents(events, SpillFormat::kV2);
+// Alternating event types: mixed-type batches are what the v2 row layout
+// carries (single-type ones serialize as v4 columns).
+std::vector<Event> MakeMixedEvents(size_t n) {
+  std::vector<Event> events = MakeEvents(n);
+  for (size_t i = 1; i < n; i += 2) events[i].type = 1;
+  return events;
+}
+
+TEST(SpillCodecTest, V2RoundTrip) {
+  const std::vector<Event> events = MakeMixedEvents(64);
+  const std::string data = SerializeEvents(events);
   auto parsed = DeserializeEvents(data);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 64u);
   EXPECT_DOUBLE_EQ((*parsed)[10].values[0].AsDouble(), 5.0);
+  EXPECT_EQ((*parsed)[11].type, 1u);
 }
 
-TEST(SpillFormatTest, V1BuffersStayReadable) {
-  const std::vector<Event> events = MakeEvents(16);
-  const std::string data = SerializeEvents(events, SpillFormat::kV1);
-  auto parsed = DeserializeEvents(data);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->size(), 16u);
-}
-
-TEST(SpillFormatTest, V1FilesStayReadable) {
-  char tmpl[] = "/tmp/exstream_v1_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string path = std::string(tmpl) + "/v1.bin";
-  const std::vector<Event> events = MakeEvents(32);
-  ASSERT_TRUE(WriteEventsFile(path, events, SpillFormat::kV1).ok());
-  auto loaded = ReadEventsFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), 32u);
-}
-
-TEST(SpillFormatTest, ChecksumCatchesBitFlip) {
-  std::string data = SerializeEvents(MakeEvents(8), SpillFormat::kV2);
+TEST(SpillCodecTest, ChecksumCatchesBitFlip) {
+  std::string data = SerializeEvents(MakeMixedEvents(8));
   data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x01);
   const Status st = DeserializeEvents(data).status();
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_NE(st.message().find("checksum"), std::string::npos) << st.ToString();
 }
 
-TEST(SpillFormatTest, TruncationHasItsOwnCode) {
-  // A v1 buffer cut mid-payload reads as Truncated, with the byte offset.
-  const std::string v1 = SerializeEvents(MakeEvents(8), SpillFormat::kV1);
+TEST(SpillCodecTest, TruncationHasItsOwnCode) {
+  // A v4 buffer cut mid-block reads as Truncated, with the byte offset.
+  const std::string v4 = SerializeEvents(MakeEvents(8));
   const Status cut_payload =
-      DeserializeEvents(std::string_view(v1).substr(0, v1.size() - 3)).status();
+      DeserializeEvents(std::string_view(v4).substr(0, v4.size() - 3)).status();
   EXPECT_TRUE(cut_payload.IsTruncated()) << cut_payload.ToString();
   EXPECT_NE(cut_payload.message().find("offset"), std::string::npos);
 
   // A v2 buffer cut mid-header is Truncated too...
-  const std::string v2 = SerializeEvents(MakeEvents(8), SpillFormat::kV2);
+  const std::string v2 = SerializeEvents(MakeMixedEvents(8));
   EXPECT_TRUE(DeserializeEvents(std::string_view(v2).substr(0, 10))
                   .status()
                   .IsTruncated());
@@ -88,10 +79,10 @@ TEST(SpillFormatTest, TruncationHasItsOwnCode) {
                   .IsCorruption());
 }
 
-TEST(SpillFormatTest, HugeHeaderCountRejectedBeforeAllocation) {
+TEST(SpillCodecTest, HugeHeaderCountRejectedBeforeAllocation) {
   // The count lives outside the checksummed payload, so a patched count must
   // be caught by the size bound, not the CRC — and without a giant reserve.
-  std::string data = SerializeEvents(MakeEvents(4), SpillFormat::kV2);
+  std::string data = SerializeEvents(MakeMixedEvents(4));
   const uint32_t huge = 0x7FFFFFFF;
   std::memcpy(&data[4], &huge, sizeof(huge));
   const Status st = DeserializeEvents(data).status();
@@ -99,7 +90,7 @@ TEST(SpillFormatTest, HugeHeaderCountRejectedBeforeAllocation) {
   EXPECT_NE(st.message().find("header count"), std::string::npos);
 }
 
-TEST(SpillFormatTest, ReadErrorsNameTheFile) {
+TEST(SpillCodecTest, ReadErrorsNameTheFile) {
   char tmpl[] = "/tmp/exstream_badmagic_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string path = std::string(tmpl) + "/junk.bin";
@@ -145,27 +136,6 @@ class FaultArchiveTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(FaultArchiveTest, V1SpillFormatRoundTripsThroughArchive) {
-  ArchiveOptions options = SpillOptions();
-  options.spill_format = SpillFormat::kV1;
-  EventArchive archive(&registry_, options);
-  Fill(&archive);
-  auto events = archive.Scan(0, {0, 199});
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  EXPECT_EQ(events->size(), 200u);
-}
-
-TEST_F(FaultArchiveTest, V2SpillFormatRoundTripsThroughArchive) {
-  // Archives written before the columnar format keep working untouched.
-  ArchiveOptions options = SpillOptions();
-  options.spill_format = SpillFormat::kV2;
-  EventArchive archive(&registry_, options);
-  Fill(&archive);
-  auto events = archive.Scan(0, {0, 199});
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  EXPECT_EQ(events->size(), 200u);
-}
-
 // Finds chunk 0's spill file in `dir`, skipping its `.tiers` sidecar (and any
 // `.quarantine` leftovers) — the rot tests must hit the primary bytes.
 std::string FindChunk0Spill(const std::string& dir) {
@@ -187,38 +157,6 @@ std::string FindChunk0Spill(const std::string& dir) {
   }
   closedir(d);
   return victim;
-}
-
-TEST_F(FaultArchiveTest, V3CorruptedColumnQuarantinesNotCrashes) {
-  ArchiveOptions options = SpillOptions();
-  options.spill_format = SpillFormat::kV3;  // the uncompressed columnar format
-  EventArchive archive(&registry_, options);
-  Fill(&archive);
-
-  // Rot one spill file on disk directly — the persistent-damage case, as
-  // opposed to the injector's transient read-path corruption above.
-  const std::string victim = FindChunk0Spill(dir_);
-  ASSERT_FALSE(victim.empty()) << "no spill file for chunk 0 in " << dir_;
-  FILE* f = fopen(victim.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(fseek(f, -1, SEEK_END), 0);  // last byte: inside a column payload
-  const int c = fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(fseek(f, -1, SEEK_END), 0);
-  fputc(c ^ 0x40, f);
-  fclose(f);
-
-  DegradationReport degradation;
-  auto events = archive.Scan(0, {0, 199}, &degradation);
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  EXPECT_EQ(events->size(), 192u);  // the bad chunk's 8 events are skipped
-  ASSERT_EQ(degradation.chunks_skipped(), 1u);
-  // The per-column CRC pins the failure to a column, and the chunk is
-  // quarantined exactly like a v2 checksum failure.
-  EXPECT_NE(degradation.skipped[0].reason.find("column"), std::string::npos)
-      << degradation.skipped[0].reason;
-  EXPECT_TRUE(FileExists(victim + ".quarantine"));
-  EXPECT_EQ(archive.quarantined_chunks(), 1u);
 }
 
 TEST_F(FaultArchiveTest, V4CorruptedCompressedBlockQuarantinesNamingColumn) {
@@ -489,6 +427,47 @@ TEST_F(FaultArchiveTest, DelayFaultAddsLatency) {
   EXPECT_EQ(events->size(), 200u);  // delay slows the read, data is intact
   EXPECT_GE(elapsed, 0.025);
   EXPECT_EQ(FaultInjector::Global().hits(), 1u);
+}
+
+// Checkpoints reference spilled chunks by path, as already durable, and once
+// the MANIFEST lands the WAL may drop their events. Spill renames do not sync
+// spill_dir, so the checkpoint syncs it once before writing the MANIFEST; a
+// failed sync fails the checkpoint and leaves no MANIFEST behind.
+TEST_F(FaultArchiveTest, CheckpointSyncsSpillDirBeforeManifest) {
+  XStreamConfig config;
+  config.archive = SpillOptions();
+  XStreamSystem system(&registry_, config);
+  EventBatch batch;
+  for (size_t t = 0; t < 200; ++t) {
+    batch.push_back(Event(0, static_cast<Timestamp>(t), {Value(t * 0.5)}));
+  }
+  system.OnEventBatch(std::move(batch));
+  system.Flush();
+  auto spilled = ListDirFiles(dir_);
+  ASSERT_TRUE(spilled.ok());
+  ASSERT_FALSE(spilled->empty()) << "nothing spilled";
+
+  char tmpl[] = "/tmp/exstream_ckpt_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string ckpt = tmpl;
+  FaultPlan plan;
+  plan.mode = FaultMode::kDelay;
+  plan.op = FaultOp::kWrite;
+  plan.site = "dir-sync";
+  plan.path_substring = dir_;
+  plan.delay_ms = 0;
+  {
+    ScopedFaultInjection fault(plan);
+    ASSERT_TRUE(system.Checkpoint(ckpt).ok());
+    EXPECT_GE(FaultInjector::Global().hits(), 1u);
+  }
+
+  plan.mode = FaultMode::kFailOpen;
+  const std::string failed_ckpt = ckpt + "/failed";
+  ScopedFaultInjection fault(plan);
+  const Status st = system.Checkpoint(failed_ckpt);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_FALSE(FileExists(failed_ckpt + "/MANIFEST"));
 }
 
 }  // namespace

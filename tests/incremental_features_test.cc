@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "feature_oracle.h"
 #include "features/builder.h"
 #include "features/feature_space.h"
 #include "sim/hadoop_sim.h"
@@ -118,9 +119,14 @@ TEST_F(IncrementalFeatureTest, BuilderDifferentialAcrossPaths) {
   aopts.chunk_capacity = 64;
   EventArchive archive(&registry_, aopts);
   IncrementalFeatureState state(&registry_, /*retention=*/120);
+  std::vector<std::vector<Event>> fed(2);
   for (Timestamp t = 0; t < 400; ++t) {
-    Feed(&archive, &state, MakeA(t, (t % 17) * 0.25));
-    if (t % 3 == 0) Feed(&archive, &state, MakeB(t, t % 5));
+    fed[0].push_back(MakeA(t, (t % 17) * 0.25));
+    Feed(&archive, &state, fed[0].back());
+    if (t % 3 == 0) {
+      fed[1].push_back(MakeB(t, t % 5));
+      Feed(&archive, &state, fed[1].back());
+    }
   }
 
   FeatureSpaceOptions space;
@@ -128,23 +134,24 @@ TEST_F(IncrementalFeatureTest, BuilderDifferentialAcrossPaths) {
   const std::vector<FeatureSpec> specs = GenerateFeatureSpecs(registry_, space);
   ASSERT_FALSE(specs.empty());
   const FeatureBuilder plain(&archive);
-  const FeatureBuilder legacy(&archive, /*use_legacy_row_scan=*/true);
-  const FeatureBuilder incremental(&archive, false, &state);
+  const FeatureBuilder incremental(&archive, &state);
+  const FeatureRowSource rows = [&](EventTypeId type) -> Result<std::vector<Event>> {
+    return fed[type];
+  };
 
   for (const TimeInterval interval :
        {TimeInterval{350, 399}, TimeInterval{0, 399}, TimeInterval{100, 250}}) {
     auto a = plain.Build(specs, interval);
-    auto b = legacy.Build(specs, interval);
     auto c = incremental.Build(specs, interval);
-    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-    ASSERT_EQ(a->size(), c->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].series.times(), (*c)[i].series.times())
-          << (*a)[i].spec.Name();
-      EXPECT_EQ((*a)[i].series.values(), (*c)[i].series.values())
-          << (*a)[i].spec.Name();
-      EXPECT_EQ((*b)[i].series.times(), (*c)[i].series.times());
-      EXPECT_EQ((*b)[i].series.values(), (*c)[i].series.values());
+    auto oracle = OracleFeatures(rows, specs, interval);
+    ASSERT_TRUE(a.ok() && c.ok() && oracle.ok());
+    ASSERT_EQ(a->size(), oracle->size());
+    ASSERT_EQ(c->size(), oracle->size());
+    for (size_t i = 0; i < oracle->size(); ++i) {
+      EXPECT_TRUE(SameSeriesBits((*a)[i].series, (*oracle)[i].series))
+          << specs[i].Name();
+      EXPECT_TRUE(SameSeriesBits((*c)[i].series, (*oracle)[i].series))
+          << specs[i].Name();
     }
   }
   const auto stats = state.stats();

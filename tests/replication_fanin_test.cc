@@ -8,8 +8,8 @@
 // points (sync-then-ack), per-tenant quotas and queue shares (shed counts
 // disclosed only through the owning tenant), handshake edge cases (duplicate
 // HELLO, tenant switch, per-child resume across a parent restart), prompt
-// session reap + immediate reconnect after a kill -9'd child, and v1 gap
-// state file back-compat.
+// session reap + immediate reconnect after a kill -9'd child, and rejection
+// of the retired v1 gap state file.
 
 #include <algorithm>
 #include <chrono>
@@ -27,6 +27,7 @@
 #include "common/fault_injection.h"
 #include "io/file_util.h"
 #include "net/frame.h"
+#include "net/repl_ledger.h"
 #include "net/replication_receiver.h"
 #include "net/socket.h"
 #include "sim/hadoop_sim.h"
@@ -982,39 +983,18 @@ TEST(ReplicationFanInTest, KilledChildTakesOverIdentityImmediately) {
 
 // --- v1 state file back-compat ---------------------------------------------
 
-// A 12-byte v1 gap-state file (magic + u64 gap) loads as an unclaimed gap
-// pool for the legacy tenant: re-disclosed on the system, claimed by the
-// first child to HELLO, and carried in its resume watermark.
-TEST(ReplicationFanInTest, V1GapStateClaimedByFirstChildAndRedisclosed) {
-  const Workload w = MakeWorkload();
+// The single-child v1 ledger file (magic + u64 gap total, 12 bytes) is
+// retired: loading one fails instead of guessing which tenant owns its gap.
+TEST(ReplicationFanInTest, V1LedgerFileFailsLoad) {
   const std::string state_path = MakeTempDir("v1_state") + "/gap.state";
-  const uint64_t kLegacyGap = 500;
-  {
-    BytesWriter writer;
-    writer.Put<uint32_t>(0x47525845u);  // "EXRG"
-    writer.Put<uint64_t>(kLegacyGap);
-    ASSERT_TRUE(WriteFileAtomic(state_path, writer.Take()).ok());
-  }
+  BytesWriter writer;
+  writer.Put<uint32_t>(0x47525845u);  // "EXRG"
+  writer.Put<uint64_t>(500);
+  ASSERT_TRUE(WriteFileAtomic(state_path, writer.Take()).ok());
 
-  QueryId qid = 0;
-  auto parent = MakeSystem(w, &qid);
-  ReplicationReceiver receiver(parent.get(), ReceiverOptions(0, state_path));
-  ReplicationReceiver::SessionDriver child(&receiver);
-  // Loading the ledger re-disclosed the pre-restart loss on the system.
-  EXPECT_EQ(parent->shed_events(), kLegacyGap);
-  EXPECT_EQ(receiver.watermark(), kLegacyGap);
-
-  ASSERT_TRUE(child.Feed(HelloBytes("default", "c1")).ok());
-  const HelloAckFrame ack = TakeHelloAck(child);
-  ASSERT_TRUE(ack.accepted);
-  EXPECT_EQ(ack.resume_seq, kLegacyGap)
-      << "the v1 gap pool was not claimed by the first child";
-
-  const std::vector<Event> slice(w.events.begin(), w.events.begin() + kBatch);
-  ASSERT_TRUE(child.Feed(ChunkBytes(1, kLegacyGap, slice)).ok());
-  EXPECT_EQ(TakeLastAck(child).ack_seq, kLegacyGap + kBatch);
-  EXPECT_EQ(receiver.watermark("default", "c1"), kLegacyGap + kBatch);
-  EXPECT_EQ(parent->engine().events_processed(), kBatch);
+  ReplLedger ledger;
+  ledger.Configure(state_path);
+  EXPECT_FALSE(ledger.Load().ok());
 }
 
 }  // namespace
