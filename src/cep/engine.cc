@@ -65,7 +65,6 @@ void CepEngine::AssignMergePlan(QueryId id, bool force_singleton) {
   if (a.new_residue) {
     ResidueClass rc;
     rc.nfa_residue = g.nfa->AddResidue(&qs.compiled);
-    rc.rep = id;
     g.residues.push_back(std::move(rc));
   }
   ResidueClass& rc = g.residues[a.residue];
@@ -82,9 +81,6 @@ void CepEngine::AssignMergePlan(QueryId id, bool force_singleton) {
   qs.physical = tc.table;
   qs.merge_group = a.group;
   qs.merge_residue = a.residue;
-  if (g.bound_source == kNoQuery && qs.compiled.kleene_bound_needed()) {
-    g.bound_source = id;
-  }
 }
 
 Result<QueryId> CepEngine::AddQueryText(std::string_view text, std::string name) {
@@ -121,14 +117,11 @@ uint32_t CepEngine::InternGroupKey(MergeGroup& g, std::string_view key,
   if (created) {
     g.runs.emplace_back(g.nfa.get());
     // Every member table registers the partition in the same first-seen
-    // order, so the bucket id is identical across the group's tables — one
-    // id serves them all.
+    // order, so its bucket id is the partition id in all of them.
     const std::string_view stored = g.interner.KeyOf(id);
-    uint32_t bucket = 0;
     for (ResidueClass& rc : g.residues) {
-      for (TableClass& tc : rc.tables) bucket = tc.table->EnsureBucket(stored);
+      for (TableClass& tc : rc.tables) tc.table->EnsureBucket(stored);
     }
-    g.buckets.push_back(bucket);
   }
   return id;
 }
@@ -210,7 +203,7 @@ void CepEngine::ProcessGroup(MergeGroup& g, std::span<const Event> batch) {
     SharedRun& run = g.runs[it.run];
     const SharedStepResult step = run.Step(e);
     if (!step.absorbed_kleene && !step.match_complete) continue;
-    const uint32_t bucket = g.buckets[it.run];
+    const uint32_t bucket = it.run;  // bucket ids equal partition ids
     for (ResidueClass& rc : g.residues) {
       const bool per_kleene = nfa.EmitsPerKleeneEvent(rc.nfa_residue);
       const bool row_now =
@@ -290,23 +283,14 @@ void CepEngine::SaveState(BytesWriter* out) const {
   for (const auto& qs : queries_) {
     out->Put<uint8_t>(qs->added_mid_stream ? 1 : 0);
   }
-  for (const auto& qs : queries_) {
-    // Each member writes the state its own QueryRun would have held (the
-    // per-query reference format). Members of a group repeat the shared
-    // pieces (keys, buckets, traversal state); RestoreState uses the
-    // redundancy as a cross-check.
-    const MergeGroup& g = *groups_[qs->merge_group];
-    const uint32_t nfa_residue = g.residues[qs->merge_residue].nfa_residue;
-    const uint32_t n_keys = static_cast<uint32_t>(g.interner.size());
-    out->Put<uint32_t>(n_keys);
-    for (uint32_t id = 0; id < n_keys; ++id) {
-      out->PutString(g.interner.KeyOf(id));
+  out->Put<uint32_t>(static_cast<uint32_t>(groups_.size()));
+  for (const auto& gp : groups_) {
+    const MergeGroup& g = *gp;
+    out->Put<uint32_t>(static_cast<uint32_t>(g.runs.size()));
+    for (const SharedRun& run : g.runs) run.SaveState(out);
+    for (const ResidueClass& rc : g.residues) {
+      for (const TableClass& tc : rc.tables) tc.table->SaveState(out);
     }
-    out->PutPodVector(g.buckets);
-    for (uint32_t id = 0; id < n_keys; ++id) {
-      g.runs[id].SaveMemberView(nfa_residue, out);
-    }
-    qs->physical->SaveState(out);
   }
 }
 
@@ -322,28 +306,23 @@ Status CepEngine::RestoreState(BytesReader* in) {
   for (uint32_t i = 0; i < n_queries; ++i) {
     EXSTREAM_ASSIGN_OR_RETURN(mid_stream[i], in->Get<uint8_t>());
   }
+  const Status not_fresh =
+      Status::InvalidArgument("engine must be freshly constructed before restore");
+  for (const auto& gp : groups_) {
+    if (gp->interner.size() != 0) return not_fresh;
+  }
   // If the snapshot's mid-stream flags disagree with how this engine's
   // queries were added (during recovery every query is re-added before any
   // event, so none is forced singleton), the current merge plan groups
-  // queries the snapshot kept apart — their per-group key sets differ and
-  // the member cross-check below would reject the snapshot. Rebuild the
-  // plan with the persisted flags instead.
+  // queries the snapshot kept apart. Rebuild the plan with the persisted
+  // flags instead.
   bool replan = false;
   for (uint32_t i = 0; i < n_queries; ++i) {
     if ((mid_stream[i] != 0) != queries_[i]->added_mid_stream) replan = true;
   }
   if (replan) {
-    for (const auto& gp : groups_) {
-      if (gp->interner.size() != 0) {
-        return Status::InvalidArgument(
-            "engine must be freshly constructed before restore");
-      }
-    }
     for (const auto& qs : queries_) {
-      if (qs->matches.TotalRows() != 0) {
-        return Status::InvalidArgument(
-            "engine must be freshly constructed before restore");
-      }
+      if (qs->matches.TotalRows() != 0) return not_fresh;
     }
     planner_ = MergePlanner();
     groups_.clear();
@@ -357,80 +336,52 @@ Status CepEngine::RestoreState(BytesReader* in) {
   for (QueryId qi = 0; qi < queries_.size(); ++qi) {
     queries_[qi]->added_mid_stream = mid_stream[qi] != 0;
   }
-  for (QueryId qi = 0; qi < queries_.size(); ++qi) {
-    QueryState& qs = *queries_[qi];
-
-    EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_keys, in->Get<uint32_t>());
+  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_groups, in->Get<uint32_t>());
+  if (n_groups != groups_.size()) {
+    return Status::Corruption(StrFormat(
+        "snapshot holds %u merge groups, the restored plan has %zu", n_groups,
+        groups_.size()));
+  }
+  for (size_t gi = 0; gi < groups_.size(); ++gi) {
+    MergeGroup& g = *groups_[gi];
+    EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_runs, in->Get<uint32_t>());
+    // Every run record takes more than one byte: a count beyond the bytes
+    // left is corrupt, and must not size an allocation.
+    if (n_runs > in->remaining()) {
+      return Status::Corruption(StrFormat(
+          "merge group %zu claims %u runs, %zu bytes left", gi, n_runs,
+          in->remaining()));
+    }
+    g.runs.reserve(n_runs);
+    for (uint32_t i = 0; i < n_runs; ++i) {
+      g.runs.emplace_back(g.nfa.get());
+      EXSTREAM_RETURN_NOT_OK(g.runs.back().RestoreState(in));
+    }
+    // The first table's keys, in bucket order, rebuild the interner (first
+    // intern order is id order); every other table must list the same keys.
     std::vector<std::string> keys;
-    keys.reserve(n_keys);
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      EXSTREAM_ASSIGN_OR_RETURN(std::string key, in->GetString());
-      keys.push_back(std::move(key));
-    }
-    std::vector<uint32_t> buckets;
-    EXSTREAM_RETURN_NOT_OK(in->GetPodVector(&buckets));
-    if (buckets.size() != n_keys) {
-      return Status::Corruption(
-          StrFormat("snapshot bucket map holds %zu entries for %u keys",
-                    buckets.size(), n_keys));
-    }
-
-    MergeGroup& g = *groups_[qs.merge_group];
-    const ResidueClass& rc = g.residues[qs.merge_residue];
-    const bool first_member = g.members.front() == qi;
-    const bool take_kleene = g.bound_source == qi;
-    const bool take_aggs = rc.rep == qi;
-    if (first_member) {
-      if (g.interner.size() != 0) {
-        return Status::InvalidArgument(
-            "engine must be freshly constructed before restore");
-      }
-      // Re-interning the keys in saved id order reproduces the exact id
-      // assignment (first-intern order is the id order).
-      g.runs.reserve(n_keys);
-      for (uint32_t i = 0; i < n_keys; ++i) {
-        bool created = false;
-        const uint32_t id =
-            g.interner.Intern(keys[i], PartitionKeyHash(keys[i]), &created);
-        if (!created || id != i) {
-          return Status::Corruption(
-              StrFormat("duplicate partition key in snapshot at id %u", i));
-        }
-        g.runs.emplace_back(g.nfa.get());
-      }
-      g.buckets = std::move(buckets);
-    } else {
-      // Later members of the group must describe the exact same shared
-      // state their group already restored.
-      if (n_keys != g.interner.size() || buckets != g.buckets) {
-        return Status::Corruption(StrFormat(
-            "merged query %u disagrees with its group's restored keys", qi));
-      }
-      for (uint32_t i = 0; i < n_keys; ++i) {
-        if (keys[i] != g.interner.KeyOf(i)) {
+    bool first = true;
+    for (ResidueClass& rc : g.residues) {
+      for (TableClass& tc : rc.tables) {
+        EXSTREAM_RETURN_NOT_OK(tc.table->RestoreState(in));
+        std::vector<std::string> table_keys = tc.table->BucketKeys();
+        if (first) {
+          keys = std::move(table_keys);
+          first = false;
+        } else if (table_keys != keys) {
           return Status::Corruption(StrFormat(
-              "merged query %u disagrees with its group's restored keys", qi));
+              "merge group %zu: table of query %u disagrees with the group's "
+              "partition keys",
+              gi, tc.rep));
         }
       }
     }
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      EXSTREAM_RETURN_NOT_OK(g.runs[i].RestoreMemberView(
-          in, rc.nfa_residue, first_member, take_kleene, take_aggs));
+    if (keys.size() != n_runs) {
+      return Status::Corruption(
+          StrFormat("merge group %zu holds %u runs for %zu partition keys", gi,
+                    n_runs, keys.size()));
     }
-    if (qs.physical == &qs.matches) {
-      if (qs.matches.TotalRows() != 0) {
-        return Status::InvalidArgument(
-            "engine must be freshly constructed before restore");
-      }
-      EXSTREAM_RETURN_NOT_OK(qs.matches.RestoreState(in));
-    } else {
-      // Non-representative member of a table class: its table bytes equal
-      // the representative's, which were (or will be) restored into the
-      // shared physical table — parse into a throwaway to keep the stream
-      // aligned.
-      MatchTable discard(qs.compiled.OutputColumns());
-      EXSTREAM_RETURN_NOT_OK(discard.RestoreState(in));
-    }
+    for (const std::string& key : keys) g.interner.Intern(key, PartitionKeyHash(key));
   }
   events_processed_ = events_processed;
   return Status::OK();

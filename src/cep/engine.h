@@ -17,10 +17,13 @@
 // canonical (event, query) order. OnEvent is a batch of one over the same
 // code.
 //
-// Determinism contract: for any batch split, the resulting MatchTables, the
-// callback sequence and the SaveState bytes are identical to evaluating every
-// query on its own, one QueryRun per partition, event by event (the reference
-// oracle the differential tests compare against).
+// Determinism contract: for any batch split, the resulting MatchTables and
+// the callback sequence are identical to evaluating every query on its own,
+// one run per partition, event by event (the reference oracle of
+// tests/cep_oracle.h the differential tests compare against), and the
+// SaveState bytes are identical across batch splits. A snapshot restored into
+// a freshly planned engine continues exactly like the uninterrupted engine and
+// re-checkpoints to the same bytes.
 
 #pragma once
 
@@ -118,19 +121,22 @@ class CepEngine : public EventSink {
     callback_ = std::move(cb);
   }
 
-  /// \brief Serializes every query's mutable evaluation state — interned
-  /// partition keys (in id order), per-partition run state, match tables —
-  /// and the processed-event count, plus each query's mid-stream-add flag so
-  /// the restoring engine rebuilds the exact merge plan (mid-stream queries
-  /// are forced-singleton groups with their own key sets). Each query writes
-  /// the record its own QueryRun-per-partition evaluation would hold (merge
-  /// groups write one member view per query). Compiled queries and route
-  /// tables are NOT included: RestoreState requires the same queries added in
-  /// the same order. Must not run concurrently with ingestion.
+  /// \brief Serializes the engine's mutable evaluation state, each fact once:
+  /// the processed-event count; each query's mid-stream-add flag, so the
+  /// restoring engine rebuilds the exact merge plan (mid-stream queries are
+  /// forced-singleton groups with their own key sets); then per merge group,
+  /// in plan order, its SharedRuns (indexed by partition id) followed by its
+  /// physical MatchTables in (residue, table class) order. Partition keys
+  /// live only in the table records: bucket ids equal partition ids, so the
+  /// group's interner is rebuilt from its first table. Compiled queries and
+  /// route tables are NOT included: RestoreState requires the same queries
+  /// added in the same order. Must not run concurrently with ingestion.
   void SaveState(BytesWriter* out) const;
 
   /// \brief Restores a SaveState snapshot. The engine must hold the same
   /// queries as at save time with empty match tables (fresh AddQuery calls).
+  /// Corruption if a group's tables disagree on their partition keys or the
+  /// keys do not match the group's run count.
   Status RestoreState(BytesReader* in);
 
  private:
@@ -138,8 +144,6 @@ class CepEngine : public EventSink {
   static constexpr uint16_t kRouteIrrelevant = 0;
   static constexpr uint16_t kRouteEmptyKey = 1;  ///< unpartitioned query
   static constexpr uint16_t kRouteSpecBase = 2;  ///< spec index + 2
-
-  static constexpr QueryId kNoQuery = static_cast<QueryId>(-1);
 
   /// One partition-key extraction: attribute `attr` of events of `type`.
   /// Deduplicated across queries so a key is extracted/hashed once per event.
@@ -189,7 +193,6 @@ class CepEngine : public EventSink {
   /// \brief Queries sharing row construction (identical compiled RETURNs).
   struct ResidueClass {
     uint32_t nfa_residue = 0;      ///< index into the group's SharedNfa
-    QueryId rep = 0;               ///< aggregate source on checkpoint restore
     std::vector<TableClass> tables;
     std::vector<QueryId> members;  ///< ascending query id (note fan-out order)
   };
@@ -200,12 +203,11 @@ class CepEngine : public EventSink {
     std::unique_ptr<SharedNfa> nfa;
     std::vector<ResidueClass> residues;
     std::vector<QueryId> members;      ///< ascending query id
-    /// First member whose own QueryRun stores the latest kleene event — the
-    /// record that supplies the kleene bound slot on checkpoint restore.
-    QueryId bound_source = kNoQuery;
     PartitionInterner interner;
-    std::vector<SharedRun> runs;       ///< indexed by interned partition id
-    std::vector<uint32_t> buckets;     ///< id -> bucket (same in all tables)
+    /// Indexed by interned partition id, which is also the partition's
+    /// bucket id in every table of the group: each table belongs to one
+    /// group and registers its buckets in intern order.
+    std::vector<SharedRun> runs;
     std::vector<uint16_t> route;       ///< == every member's route table
     uint32_t route_class = 0;
   };
@@ -236,7 +238,8 @@ class CepEngine : public EventSink {
   void RouteGroupBatch(MergeGroup& g, std::span<const Event> batch);
 
   /// Interns `key` into group `g`: creates the SharedRun and registers the
-  /// partition's bucket in every member table on first use.
+  /// partition's bucket (id == partition id) in every member table on first
+  /// use.
   uint32_t InternGroupKey(MergeGroup& g, std::string_view key, uint64_t hash);
 
   /// Evaluates the routed items_ of group `g`: steps its shared runs, appends

@@ -59,6 +59,14 @@ bool MatchTable::IsComplete(const std::string& partition) const {
   return buckets_[i].complete;
 }
 
+std::vector<std::string> MatchTable::BucketKeys() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> out;
+  out.reserve(buckets_.size());
+  for (const Bucket& b : buckets_) out.push_back(b.key);
+  return out;
+}
+
 std::vector<std::string> MatchTable::Partitions() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
@@ -145,12 +153,30 @@ Status MatchTable::RestoreState(BytesReader* in) {
     b.complete = complete != 0;
     EXSTREAM_RETURN_NOT_OK(in->GetPodVector(&b.ts));
     EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_cells, in->Get<uint32_t>());
-    b.cells.reserve(n_cells);
+    // Each cell takes at least one byte: never reserve past the buffer.
+    b.cells.reserve(std::min<size_t>(n_cells, in->remaining()));
     for (uint32_t c = 0; c < n_cells; ++c) {
       EXSTREAM_ASSIGN_OR_RETURN(Value v, GetValue(in));
       b.cells.push_back(std::move(v));
     }
     EXSTREAM_RETURN_NOT_OK(in->GetPodVector(&b.ends));
+    // Rows(), ExtractSeries() and Append() index cells through ends: one end
+    // per row, non-decreasing, the last one closing the cell vector.
+    bool framed = b.ends.size() == b.ts.size() &&
+                  (b.ends.empty() ? b.cells.empty() : b.ends.back() == b.cells.size());
+    for (size_t r = 1; framed && r < b.ends.size(); ++r) {
+      framed = b.ends[r - 1] <= b.ends[r];
+    }
+    if (!framed) {
+      return Status::Corruption(StrFormat(
+          "match table bucket %u ('%s'): %zu row ends do not frame %zu rows of "
+          "%zu cells",
+          i, b.key.c_str(), b.ends.size(), b.ts.size(), b.cells.size()));
+    }
+    if (index_.count(b.key) != 0) {
+      return Status::Corruption(
+          StrFormat("match table snapshot repeats partition '%s'", b.key.c_str()));
+    }
     buckets_.push_back(std::move(b));
     index_.emplace(std::string_view(buckets_.back().key),
                    static_cast<uint32_t>(buckets_.size() - 1));

@@ -64,6 +64,9 @@ class MatchTable {
   void MarkComplete(const std::string& partition);
   bool IsComplete(const std::string& partition) const;
 
+  /// Keys of every bucket in bucket-id order, row-less buckets included.
+  std::vector<std::string> BucketKeys() const;
+
   /// Partition keys present in the table, sorted.
   std::vector<std::string> Partitions() const;
 
@@ -83,7 +86,8 @@ class MatchTable {
   void SaveState(BytesWriter* out) const;
 
   /// \brief Restores a SaveState snapshot into an empty table (bucket ids
-  /// come back identical, so interned partition ids stay valid).
+  /// come back identical, so interned partition ids stay valid). Corruption
+  /// on a duplicate key or row offsets that do not frame the bucket's cells.
   Status RestoreState(BytesReader* in);
 
  private:

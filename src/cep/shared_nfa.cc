@@ -97,7 +97,7 @@ void SharedRun::AbsorbKleene(const Event& event) {
     bound_[nfa_->shape_->kleene_component()] = event;
   }
   // Aggregates update in residue order, and within a residue in RETURN-item
-  // order — the same per-item order each member's QueryRun uses, so the
+  // order — the same per-item order each member's own run would use, so the
   // floating-point results are bit-identical.
   for (const SharedNfa::Residue& res : nfa_->residues_) {
     const auto& returns = res.src->returns();
@@ -207,29 +207,16 @@ void SharedRun::AppendRowValues(uint32_t residue, const Event& trigger,
   }
 }
 
-void SharedRun::SaveMemberView(uint32_t residue, BytesWriter* out) const {
-  const SharedNfa::Residue& res = nfa_->residues_[residue];
+void SharedRun::SaveState(BytesWriter* out) const {
   out->Put<uint64_t>(state_);
   out->Put<int32_t>(last_positive_);
   out->Put<int64_t>(run_start_);
   out->Put<uint8_t>(kleene_active_ ? 1 : 0);
   out->Put<uint64_t>(kleene_count_);
   out->Put<uint16_t>(static_cast<uint16_t>(bound_.size()));
-  const size_t kleene_idx = nfa_->shape_->kleene_component();
-  const bool member_stores_kleene = nfa_->MemberKleeneBoundNeeded(residue);
-  for (size_t c = 0; c < bound_.size(); ++c) {
-    if (c == kleene_idx && nfa_->kleene_bound_needed_ && !member_stores_kleene) {
-      // This member's own QueryRun would have left the slot empty; writing
-      // the group's copy would desync the byte format from QueryRun's.
-      PutEvent(out, Event{});
-    } else {
-      PutEvent(out, bound_[c]);
-    }
-  }
-  const auto& returns = res.src->returns();
-  out->Put<uint16_t>(static_cast<uint16_t>(returns.size()));
-  for (size_t i = 0; i < returns.size(); ++i) {
-    const AggState& a = aggs_[res.agg_offset + i];
+  for (const Event& e : bound_) PutEvent(out, e);
+  out->Put<uint32_t>(static_cast<uint32_t>(aggs_.size()));
+  for (const AggState& a : aggs_) {
     out->Put<double>(a.sum);
     out->Put<double>(a.min);
     out->Put<double>(a.max);
@@ -237,53 +224,50 @@ void SharedRun::SaveMemberView(uint32_t residue, BytesWriter* out) const {
   }
 }
 
-Status SharedRun::RestoreMemberView(BytesReader* in, uint32_t residue,
-                                    bool take_base, bool take_kleene_bound,
-                                    bool take_aggs) {
-  const SharedNfa::Residue& res = nfa_->residues_[residue];
+Status SharedRun::RestoreState(BytesReader* in) {
   EXSTREAM_ASSIGN_OR_RETURN(const uint64_t state, in->Get<uint64_t>());
   EXSTREAM_ASSIGN_OR_RETURN(const int32_t last_positive, in->Get<int32_t>());
   EXSTREAM_ASSIGN_OR_RETURN(const int64_t run_start, in->Get<int64_t>());
   EXSTREAM_ASSIGN_OR_RETURN(const uint8_t kleene_active, in->Get<uint8_t>());
   EXSTREAM_ASSIGN_OR_RETURN(const uint64_t kleene_count, in->Get<uint64_t>());
+  // Step indexes the component list with the NFA position (and, while a
+  // closure is open, expects it on the kleene component).
+  const auto& comps = nfa_->shape_->components();
+  if (state > comps.size() || last_positive < -1 ||
+      last_positive >= static_cast<int64_t>(comps.size()) ||
+      (kleene_active != 0 && (state == comps.size() || !comps[state].kleene))) {
+    return Status::Corruption(StrFormat(
+        "run snapshot position (state %llu, last %d, kleene %u) does not fit "
+        "a %zu-component pattern",
+        static_cast<unsigned long long>(state), last_positive, kleene_active,
+        comps.size()));
+  }
   EXSTREAM_ASSIGN_OR_RETURN(const uint16_t n_bound, in->Get<uint16_t>());
   if (n_bound != bound_.size()) {
     return Status::Corruption(
         StrFormat("run snapshot binds %u components, group query has %zu",
                   n_bound, bound_.size()));
   }
-  const size_t kleene_idx = nfa_->shape_->kleene_component();
-  for (size_t c = 0; c < bound_.size(); ++c) {
-    EXSTREAM_ASSIGN_OR_RETURN(Event e, GetEvent(in));
-    // The kleene slot is special: most members saved Event{} there (their
-    // own QueryRun never stored it), so it is taken only from the designated
-    // bound-source record.
-    const bool kleene_slot = nfa_->has_kleene_ && c == kleene_idx;
-    if ((take_base && !kleene_slot) || (kleene_slot && take_kleene_bound)) {
-      bound_[c] = std::move(e);
-    }
+  for (Event& e : bound_) {
+    EXSTREAM_ASSIGN_OR_RETURN(e, GetEvent(in));
   }
-  EXSTREAM_ASSIGN_OR_RETURN(const uint16_t n_aggs, in->Get<uint16_t>());
-  if (n_aggs != res.src->returns().size()) {
+  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_aggs, in->Get<uint32_t>());
+  if (n_aggs != aggs_.size()) {
     return Status::Corruption(
-        StrFormat("run snapshot carries %u aggregates, residue has %zu", n_aggs,
-                  res.src->returns().size()));
+        StrFormat("run snapshot carries %u aggregates, group has %zu", n_aggs,
+                  aggs_.size()));
   }
-  for (size_t i = 0; i < n_aggs; ++i) {
-    AggState a;
+  for (AggState& a : aggs_) {
     EXSTREAM_ASSIGN_OR_RETURN(a.sum, in->Get<double>());
     EXSTREAM_ASSIGN_OR_RETURN(a.min, in->Get<double>());
     EXSTREAM_ASSIGN_OR_RETURN(a.max, in->Get<double>());
     EXSTREAM_ASSIGN_OR_RETURN(a.count, in->Get<uint64_t>());
-    if (take_aggs) aggs_[res.agg_offset + i] = a;
   }
-  if (take_base) {
-    state_ = static_cast<size_t>(state);
-    last_positive_ = last_positive;
-    run_start_ = run_start;
-    kleene_active_ = kleene_active != 0;
-    kleene_count_ = static_cast<size_t>(kleene_count);
-  }
+  state_ = static_cast<size_t>(state);
+  last_positive_ = last_positive;
+  run_start_ = run_start;
+  kleene_active_ = kleene_active != 0;
+  kleene_count_ = static_cast<size_t>(kleene_count);
   return Status::OK();
 }
 

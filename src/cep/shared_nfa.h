@@ -10,16 +10,17 @@
 // a run is therefore O(1) in the number of member queries; only row fan-out
 // (one append per table class) scales with distinct outputs.
 //
-// State-transition semantics are bit-identical to QueryRun (nfa.h): the same
-// skip-till-next-match strategy, the same WITHIN/negation reset points, and
-// the same aggregate update order, so a merged engine reproduces the
-// independent-evaluation MatchTables and callback stream exactly
-// (tests/query_merge_test.cc, tests/ingest_differential_test.cc).
+// State-transition semantics are bit-identical to the per-query reference
+// runs of tests/cep_oracle.h: the same skip-till-next-match strategy, the
+// same WITHIN/negation reset points, and the same aggregate update order, so
+// a merged engine reproduces the independent-evaluation MatchTables and
+// callback stream exactly (tests/query_merge_test.cc,
+// tests/ingest_differential_test.cc).
 //
-// Checkpoint compatibility: SaveMemberView serializes the state one member's
-// QueryRun would have held, byte-identical to QueryRun::SaveState, so engine
-// snapshots equal the per-query reference oracle's and round-trip with it in
-// either direction.
+// Checkpoint compatibility: SaveState writes the run's shared state once —
+// traversal position, every bound slot, every residue's aggregates — and
+// RestoreState reads it back into a run of an identically planned group, so
+// a restored engine re-checkpoints to the same bytes.
 
 #pragma once
 
@@ -37,10 +38,10 @@ namespace exstream {
 ///   row      <=> (absorbed_kleene && residue streams per kleene event) ||
 ///                (match_complete && !(streams && closed_kleene))
 ///   complete <=> match_complete
-/// The closed_kleene term reproduces QueryRun exactly: a streaming residue
-/// emits no row on the event that merely closes its kleene closure, but a
-/// completion later in the pattern (components after the closing one) always
-/// emits.
+/// The closed_kleene term reproduces the per-query run exactly: a streaming
+/// residue emits no row on the event that merely closes its kleene closure,
+/// but a completion later in the pattern (components after the closing one)
+/// always emits.
 struct SharedStepResult {
   bool consumed = false;        ///< the event advanced or extended the run
   bool absorbed_kleene = false; ///< the event was folded into the kleene closure
@@ -71,13 +72,6 @@ class SharedNfa {
     return residues_[residue].src->EmitsPerKleeneEvent();
   }
 
-  /// \brief True if a member of `residue`, evaluated as an independent
-  /// QueryRun, would store the latest kleene event in its bound vector —
-  /// the flag that keeps SaveMemberView byte-identical to QueryRun.
-  bool MemberKleeneBoundNeeded(uint32_t residue) const {
-    return residues_[residue].src->kleene_bound_needed();
-  }
-
  private:
   struct Residue {
     const CompiledQuery* src = nullptr;  ///< residue representative (returns)
@@ -95,16 +89,15 @@ class SharedNfa {
   friend class SharedRun;
 };
 
-/// \brief The matching state of one partition of one merge group — the
-/// shared-traversal counterpart of QueryRun.
+/// \brief The matching state of one partition of one merge group.
 class SharedRun {
  public:
   explicit SharedRun(const SharedNfa* nfa);
 
   /// \brief Advances the run without building rows or resetting on
-  /// completion (like QueryRun::Step): the caller harvests rows per
-  /// residue via AppendRowValues while the pre-reset state is intact, then
-  /// calls Reset() itself when match_complete.
+  /// completion: the caller harvests rows per residue via AppendRowValues
+  /// while the pre-reset state is intact, then calls Reset() itself when
+  /// match_complete.
   SharedStepResult Step(const Event& event);
 
   /// Appends `residue`'s RETURN values for `trigger` onto `*out`, in column
@@ -115,20 +108,14 @@ class SharedRun {
   /// Resets to the initial state.
   void Reset();
 
-  /// \brief Serializes the state a member of `residue` would hold as an
-  /// independent QueryRun — byte-identical to QueryRun::SaveState.
-  void SaveMemberView(uint32_t residue, BytesWriter* out) const;
+  /// \brief Serializes the run: traversal state, every bound slot and every
+  /// residue's aggregate block.
+  void SaveState(BytesWriter* out) const;
 
-  /// \brief Restores from one member's QueryRun-format record. Each member
-  /// of the group carries a redundant copy of the shared traversal state, so
-  /// the caller selects which record supplies which piece:
-  ///  - `take_base`: traversal state + bound events (the group's first member)
-  ///  - `take_kleene_bound`: the kleene slot of the bound vector (the first
-  ///    member whose own QueryRun stores it — others saved an empty event)
-  ///  - `take_aggs`: `residue`'s aggregate block (the residue representative)
-  /// Records not selected for a piece are still parsed and length-checked.
-  Status RestoreMemberView(BytesReader* in, uint32_t residue, bool take_base,
-                           bool take_kleene_bound, bool take_aggs);
+  /// \brief Restores a SaveState record written by a run of an identically
+  /// planned group (same components and residues). Rejects a record whose
+  /// slot or aggregate counts, or NFA position, do not fit this group.
+  Status RestoreState(BytesReader* in);
 
   size_t current_state() const { return state_; }
   size_t kleene_count() const { return kleene_count_; }
@@ -154,7 +141,7 @@ class SharedRun {
   bool kleene_active_ = false;
   size_t kleene_count_ = 0;
   /// Aggregate blocks of every residue class, laid out back to back at the
-  /// residues' agg_offsets (one slot per RETURN item, as in QueryRun).
+  /// residues' agg_offsets (one slot per RETURN item).
   std::vector<AggState> aggs_;
 };
 

@@ -97,7 +97,8 @@ class BytesReader {
                     bytes, data_.size() - pos_));
     }
     out->resize(n);
-    std::memcpy(out->data(), data_.data() + pos_, bytes);
+    // An empty vector's data() may be null, which memcpy must not receive.
+    if (bytes != 0) std::memcpy(out->data(), data_.data() + pos_, bytes);
     pos_ += bytes;
     return Status::OK();
   }

@@ -461,13 +461,6 @@ WriteAheadLog::Stats WriteAheadLog::stats() const {
   return stats_;
 }
 
-Result<WalReplayStats> WriteAheadLog::Replay(
-    const std::string& dir, uint64_t from_seq,
-    const std::function<void(EventBatch batch)>& apply) {
-  return ReplayWithSeq(dir, from_seq,
-                       [&](uint64_t, EventBatch batch) { apply(std::move(batch)); });
-}
-
 Result<WalReplayStats> WriteAheadLog::ReplayWithSeq(
     const std::string& dir, uint64_t from_seq,
     const std::function<void(uint64_t first_seq, EventBatch batch)>& apply) {

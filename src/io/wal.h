@@ -123,14 +123,10 @@ class WriteAheadLog {
   /// \brief Replays every record with events at seq >= `from_seq`, in order.
   /// Records partially below `from_seq` are sliced. A torn tail on the final
   /// segment is tolerated; a torn/corrupt frame on an earlier segment is a
-  /// Corruption error (there would be a gap in the replayed stream).
-  static Result<WalReplayStats> Replay(
-      const std::string& dir, uint64_t from_seq,
-      const std::function<void(EventBatch batch)>& apply);
-
-  /// Same, but the callback also receives the sequence number of batch[0]
-  /// (after any slicing) — recovery paths that rebuild replication state need
-  /// to know where each replayed batch sits in the global stream.
+  /// Corruption error (there would be a gap in the replayed stream). The
+  /// callback also receives the sequence number of batch[0] (after any
+  /// slicing) — recovery paths that rebuild replication state need to know
+  /// where each replayed batch sits in the global stream.
   static Result<WalReplayStats> ReplayWithSeq(
       const std::string& dir, uint64_t from_seq,
       const std::function<void(uint64_t first_seq, EventBatch batch)>& apply);

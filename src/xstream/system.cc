@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -15,9 +16,10 @@ namespace exstream {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x45584350;  // "EXCP"
-// v2: engine snapshots carry per-query mid-stream-add flags (merge-plan
-// replay on restore); v1 manifests are rejected rather than misparsed.
-constexpr uint32_t kManifestVersion = 2;
+// v3: the engine snapshot holds one record per merge group and one per
+// physical match table, where v2 repeated both per member query. v1 and v2
+// manifests are rejected rather than misparsed.
+constexpr uint32_t kManifestVersion = 3;
 
 }  // namespace
 
@@ -281,6 +283,7 @@ Status XStreamSystem::Checkpoint(const std::string& dir) {
   DrainQueue();
   EXSTREAM_RETURN_NOT_OK(EnsureDir(dir));
   BytesWriter w;
+  w.Put<uint32_t>(0);  // CRC of everything after it, patched below
   w.Put<uint32_t>(kManifestMagic);
   w.Put<uint32_t>(kManifestVersion);
   w.Put<uint64_t>(next_seq_);
@@ -294,11 +297,11 @@ Status XStreamSystem::Checkpoint(const std::string& dir) {
   EXSTREAM_ASSIGN_OR_RETURN(const uint64_t chunk_epoch,
                             archive_.CheckpointTo(dir, &w));
   partitions_.SaveState(&w);
-  const std::string payload = w.Take();
-  BytesWriter framed;
-  framed.Put<uint32_t>(Crc32(payload.data(), payload.size()));
-  framed.PutRaw(payload);
-  EXSTREAM_RETURN_NOT_OK(WriteFileAtomic(dir + "/MANIFEST", framed.Take()));
+  std::string manifest = w.Take();
+  const uint32_t crc = Crc32(manifest.data() + sizeof(uint32_t),
+                             manifest.size() - sizeof(uint32_t));
+  std::memcpy(manifest.data(), &crc, sizeof(crc));
+  EXSTREAM_RETURN_NOT_OK(WriteFileAtomic(dir + "/MANIFEST", std::move(manifest)));
   // The superseded epoch's chunk files become garbage only now that the new
   // manifest is durably in place; until the rename they backed the previous
   // checkpoint. Reclamation is best-effort — leaked files are retried by the
@@ -347,9 +350,14 @@ Result<XStreamSystem::RecoveryReport> XStreamSystem::Recover(
     BytesReader in(payload);
     EXSTREAM_ASSIGN_OR_RETURN(const uint32_t magic, in.Get<uint32_t>());
     EXSTREAM_ASSIGN_OR_RETURN(const uint32_t version, in.Get<uint32_t>());
-    if (magic != kManifestMagic || version != kManifestVersion) {
+    if (magic != kManifestMagic) {
       return Status::Corruption("unrecognized checkpoint manifest header in " +
                                 manifest_path);
+    }
+    if (version != kManifestVersion) {
+      return Status::Corruption(StrFormat(
+          "checkpoint manifest %s is version %u; this build reads version %u",
+          manifest_path.c_str(), version, kManifestVersion));
     }
     EXSTREAM_ASSIGN_OR_RETURN(const uint64_t seq, in.Get<uint64_t>());
     EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_queries, in.Get<uint32_t>());

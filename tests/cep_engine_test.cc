@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "event/codec.h"
 #include "query/parser.h"
 
 namespace exstream {
@@ -239,6 +240,81 @@ TEST_F(CepEngineTest, MatchTableSeriesExtraction) {
   EXPECT_DOUBLE_EQ(series->value(4), 10.0);
   EXPECT_FALSE(engine.match_table(*qid).ExtractSeries("j1", "nope").ok());
   EXPECT_FALSE(engine.match_table(*qid).ExtractSeries("nope", "sum_size").ok());
+}
+
+// One handcrafted MatchTable::SaveState bucket record: `n_cells` cells,
+// row offsets `ends`.
+void PutBucket(BytesWriter* w, const std::string& key,
+               const std::vector<Timestamp>& ts, uint32_t n_cells,
+               const std::vector<uint32_t>& ends) {
+  w->PutString(key);
+  w->Put<uint8_t>(0);
+  w->PutPodVector(ts);
+  w->Put<uint32_t>(n_cells);
+  for (uint32_t c = 0; c < n_cells; ++c) PutValue(w, Value(1.0));
+  w->PutPodVector(ends);
+}
+
+Status RestoreTable(const std::string& bytes) {
+  MatchTable table({"v"});
+  BytesReader reader(bytes);
+  return table.RestoreState(&reader);
+}
+
+TEST(MatchTableSnapshotTest, WellFramedBucketsRestore) {
+  BytesWriter w;
+  w.Put<uint32_t>(2);
+  PutBucket(&w, "p", {1, 2}, 2, {1, 2});
+  PutBucket(&w, "q", {}, 0, {});
+  MatchTable table({"v"});
+  BytesReader reader(w.str());
+  ASSERT_TRUE(table.RestoreState(&reader).ok());
+  EXPECT_EQ(table.NumRows("p"), 2u);
+  EXPECT_EQ(table.BucketKeys(), (std::vector<std::string>{"p", "q"}));
+}
+
+TEST(MatchTableSnapshotTest, MalformedBucketsAreCorrupt) {
+  // Each would restore a bucket that Rows(), ExtractSeries() or Append()
+  // index out of bounds, or a second bucket the key index cannot reach.
+  struct Case {
+    const char* label;
+    std::vector<Timestamp> ts;
+    uint32_t n_cells;
+    std::vector<uint32_t> ends;
+  };
+  const std::vector<Case> cases = {
+      {"fewer ends than rows", {1, 2}, 2, {2}},
+      {"more ends than rows", {1}, 1, {1, 1}},
+      {"decreasing ends", {1, 2, 3}, 3, {2, 1, 3}},
+      {"last end short of the cells", {1}, 2, {1}},
+      {"end past the cells", {1}, 1, {5}},
+      {"cells without rows", {}, 1, {}},
+  };
+  for (const Case& c : cases) {
+    BytesWriter w;
+    w.Put<uint32_t>(1);
+    PutBucket(&w, "p", c.ts, c.n_cells, c.ends);
+    const Status st = RestoreTable(w.str());
+    EXPECT_TRUE(st.IsCorruption()) << c.label << ": " << st.ToString();
+  }
+  BytesWriter dup;
+  dup.Put<uint32_t>(2);
+  PutBucket(&dup, "p", {1}, 1, {1});
+  PutBucket(&dup, "p", {2}, 1, {1});
+  const Status st = RestoreTable(dup.str());
+  EXPECT_TRUE(st.IsCorruption()) << "duplicate key: " << st.ToString();
+}
+
+TEST(MatchTableSnapshotTest, HugeCellCountFailsWithoutAllocating) {
+  // A cell count far beyond the bytes left must not size a reservation.
+  BytesWriter w;
+  w.Put<uint32_t>(1);
+  w.PutString("p");
+  w.Put<uint8_t>(0);
+  w.PutPodVector(std::vector<Timestamp>{1});
+  w.Put<uint32_t>(0xFFFFFFFFu);
+  PutValue(&w, Value(1.0));
+  EXPECT_FALSE(RestoreTable(w.str()).ok());
 }
 
 }  // namespace

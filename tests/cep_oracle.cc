@@ -1,15 +1,206 @@
 #include "cep_oracle.h"
 
-#include "common/strings.h"
+#include <algorithm>
+
 #include "query/parser.h"
 
 namespace exstream {
+
+QueryRun::QueryRun(const CompiledQuery* cq) : cq_(cq) {
+  bound_.resize(cq_->components().size());
+  aggs_.resize(cq_->returns().size());
+  Reset();
+}
+
+void QueryRun::Reset() {
+  state_ = NextPositiveIndex(0);
+  last_positive_ = -1;
+  kleene_active_ = false;
+  kleene_count_ = 0;
+  std::fill(aggs_.begin(), aggs_.end(), AggState{});
+  for (Event& e : bound_) e = Event{};
+}
+
+size_t QueryRun::NextPositiveIndex(size_t from) const {
+  const auto& comps = cq_->components();
+  size_t i = from;
+  while (i < comps.size() && comps[i].negated) ++i;
+  return i;
+}
+
+bool QueryRun::ViolatesNegation(const Event& event) const {
+  // Active guards: the negated components strictly between the last matched
+  // positive component (the kleene itself while it is absorbing) and the
+  // positive component currently awaited.
+  const auto& comps = cq_->components();
+  size_t lo;
+  size_t hi;
+  if (kleene_active_) {
+    lo = state_ + 1;
+    hi = NextPositiveIndex(state_ + 1);
+  } else {
+    if (last_positive_ < 0) return false;  // no run in flight
+    lo = static_cast<size_t>(last_positive_) + 1;
+    hi = state_;
+  }
+  for (size_t i = lo; i < hi && i < comps.size(); ++i) {
+    if (!comps[i].negated || event.type != comps[i].type) continue;
+    bool pass = true;
+    for (const CompiledPredicate& pred : comps[i].predicates) {
+      if (!pred.Eval(event, bound_)) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) return true;
+  }
+  return false;
+}
+
+bool QueryRun::TryAdvance(const Event& event, size_t component_idx) {
+  const CompiledComponent& comp = cq_->components()[component_idx];
+  if (event.type != comp.type) return false;
+  for (const CompiledPredicate& pred : comp.predicates) {
+    if (!pred.Eval(event, bound_)) return false;
+  }
+  return true;
+}
+
+void QueryRun::AbsorbKleene(const Event& event) {
+  ++kleene_count_;
+  if (cq_->kleene_bound_needed()) {
+    bound_[cq_->kleene_component()] = event;  // later predicates/returns see the latest
+  }
+  for (size_t i = 0; i < cq_->returns().size(); ++i) {
+    const CompiledReturn& r = cq_->returns()[i];
+    if (r.agg == ReturnAgg::kNone) continue;
+    const double v = RefValueAsDouble(r.ref, event);
+    AggState& a = aggs_[i];
+    a.sum += v;
+    a.min = a.count == 0 ? v : std::min(a.min, v);
+    a.max = a.count == 0 ? v : std::max(a.max, v);
+    ++a.count;
+  }
+}
+
+void QueryRun::AppendRowValues(const Event& trigger, std::vector<Value>* out) const {
+  for (size_t i = 0; i < cq_->returns().size(); ++i) {
+    const CompiledReturn& r = cq_->returns()[i];
+    if (r.agg != ReturnAgg::kNone) {
+      const AggState& a = aggs_[i];
+      switch (r.agg) {
+        case ReturnAgg::kSum:
+          out->emplace_back(a.sum);
+          break;
+        case ReturnAgg::kCount:
+          out->emplace_back(static_cast<int64_t>(a.count));
+          break;
+        case ReturnAgg::kAvg:
+          out->emplace_back(a.count > 0 ? a.sum / static_cast<double>(a.count)
+                                        : 0.0);
+          break;
+        case ReturnAgg::kMin:
+          out->emplace_back(a.min);
+          break;
+        case ReturnAgg::kMax:
+          out->emplace_back(a.max);
+          break;
+        case ReturnAgg::kNone:
+          break;  // unreachable
+      }
+      continue;
+    }
+    // A kCurrent ref implies emits_per_kleene_, under which rows are only
+    // ever harvested with the just-absorbed kleene event as trigger — so the
+    // trigger IS the current kleene event and no stored copy is needed.
+    const Event& source =
+        r.index == KleeneIndex::kCurrent ? trigger : bound_[r.ref.component];
+    out->push_back(RefValue(r.ref, source));
+  }
+}
+
+void QueryRun::BuildRow(const Event& trigger, MatchRow* out) const {
+  out->ts = trigger.ts;
+  out->values.clear();
+  out->values.reserve(cq_->returns().size());
+  AppendRowValues(trigger, &out->values);
+}
+
+RunStepResult QueryRun::OnEvent(const Event& event, MatchRow* row) {
+  RunStepResult result = Step(event);
+  if (result.emitted_row) BuildRow(event, row);
+  if (result.match_complete) Reset();
+  return result;
+}
+
+RunStepResult QueryRun::Step(const Event& event) {
+  RunStepResult result;
+  const size_t num_components = cq_->components().size();
+  const bool run_active = kleene_active_ || last_positive_ >= 0;
+
+  // WITHIN enforcement: an active run whose time budget is exhausted dies;
+  // the current event may then open a fresh run below.
+  const Timestamp within = cq_->query().within;
+  if (within > 0 && run_active && event.ts - run_start_ > within) {
+    Reset();
+  }
+
+  // Negation guards: an event matching an active negated component voids the
+  // run (and may then open a fresh one below).
+  if (cq_->has_negation() && ViolatesNegation(event)) Reset();
+
+  if (kleene_active_) {
+    // Either extend the kleene closure or close it with the next positive
+    // component.
+    if (TryAdvance(event, state_)) {
+      AbsorbKleene(event);
+      result.consumed = true;
+      if (cq_->EmitsPerKleeneEvent()) result.emitted_row = true;
+      return result;
+    }
+    const size_t next = NextPositiveIndex(state_ + 1);
+    if (next < num_components && TryAdvance(event, next)) {
+      bound_[next] = event;
+      kleene_active_ = false;
+      last_positive_ = static_cast<int>(next);
+      result.consumed = true;
+      if (NextPositiveIndex(next + 1) >= num_components) {
+        result.match_complete = true;
+        if (!cq_->EmitsPerKleeneEvent()) result.emitted_row = true;
+      } else {
+        state_ = NextPositiveIndex(next + 1);
+      }
+      return result;
+    }
+    return result;  // skip-till-next-match: irrelevant event ignored
+  }
+
+  if (state_ >= num_components || !TryAdvance(event, state_)) return result;
+  const CompiledComponent& comp = cq_->components()[state_];
+  result.consumed = true;
+  if (!run_active || last_positive_ < 0) run_start_ = event.ts;
+  if (comp.kleene) {
+    kleene_active_ = true;
+    AbsorbKleene(event);
+    if (cq_->EmitsPerKleeneEvent()) result.emitted_row = true;
+    return result;
+  }
+  bound_[state_] = event;
+  last_positive_ = static_cast<int>(state_);
+  if (NextPositiveIndex(state_ + 1) >= num_components) {
+    result.match_complete = true;
+    result.emitted_row = true;
+  } else {
+    state_ = NextPositiveIndex(state_ + 1);
+  }
+  return result;
+}
+
 
 Result<QueryId> CepOracle::AddQueryText(std::string_view text, std::string name) {
   EXSTREAM_ASSIGN_OR_RETURN(Query q, ParseQuery(text, std::move(name)));
   EXSTREAM_ASSIGN_OR_RETURN(CompiledQuery cq, CompiledQuery::Compile(q, registry_));
   queries_.push_back(std::make_unique<QueryState>(std::move(cq)));
-  queries_.back()->added_mid_stream = events_processed_ > 0;
   return static_cast<QueryId>(queries_.size() - 1);
 }
 
@@ -70,56 +261,6 @@ void CepOracle::OnEvent(const Event& event) {
       }
     }
   }
-}
-
-void CepOracle::SaveState(BytesWriter* out) const {
-  out->Put<uint64_t>(events_processed_);
-  out->Put<uint32_t>(static_cast<uint32_t>(queries_.size()));
-  for (const auto& qs : queries_) out->Put<uint8_t>(qs->added_mid_stream ? 1 : 0);
-  for (const auto& qs : queries_) {
-    out->Put<uint32_t>(static_cast<uint32_t>(qs->keys.size()));
-    for (const std::string& key : qs->keys) out->PutString(key);
-    out->PutPodVector(qs->buckets);
-    for (const QueryRun& run : qs->runs) run.SaveState(out);
-    qs->matches.SaveState(out);
-  }
-}
-
-Status CepOracle::RestoreState(BytesReader* in) {
-  EXSTREAM_ASSIGN_OR_RETURN(const uint64_t events_processed, in->Get<uint64_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_queries, in->Get<uint32_t>());
-  if (n_queries != queries_.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot holds %u queries, oracle has %zu", n_queries, queries_.size()));
-  }
-  for (auto& qs : queries_) {
-    EXSTREAM_ASSIGN_OR_RETURN(const uint8_t mid_stream, in->Get<uint8_t>());
-    qs->added_mid_stream = mid_stream != 0;
-  }
-  for (auto& qs : queries_) {
-    if (!qs->keys.empty() || qs->matches.TotalRows() != 0) {
-      return Status::InvalidArgument("oracle must be fresh before restore");
-    }
-    EXSTREAM_ASSIGN_OR_RETURN(const uint32_t n_keys, in->Get<uint32_t>());
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      EXSTREAM_ASSIGN_OR_RETURN(std::string key, in->GetString());
-      if (!qs->ids.emplace(key, i).second) {
-        return Status::Corruption("duplicate partition key in snapshot");
-      }
-      qs->keys.push_back(std::move(key));
-    }
-    EXSTREAM_RETURN_NOT_OK(in->GetPodVector(&qs->buckets));
-    if (qs->buckets.size() != n_keys) {
-      return Status::Corruption("snapshot bucket map does not match its keys");
-    }
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      qs->runs.emplace_back(&qs->compiled);
-      EXSTREAM_RETURN_NOT_OK(qs->runs.back().RestoreState(in));
-    }
-    EXSTREAM_RETURN_NOT_OK(qs->matches.RestoreState(in));
-  }
-  events_processed_ = events_processed;
-  return Status::OK();
 }
 
 }  // namespace exstream

@@ -258,7 +258,8 @@ TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
 TEST_F(EngineStressTest, ReadersAndCheckpointsDuringBatchedIngest) {
   // MatchTable readers (the Explain access pattern) and engine snapshots at
   // batch boundaries run while batches are ingested; afterwards the callback
-  // sequence, the tables and every snapshot must equal the oracle's.
+  // sequence and the tables must equal the oracle's, and every snapshot must
+  // restore into a fresh engine that continues to the uninterrupted end state.
   constexpr char kVariant[] =
       "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
       "RETURN (b[i].timestamp, a.job, count(b[1..i].size))";
@@ -269,22 +270,13 @@ TEST_F(EngineStressTest, ReadersAndCheckpointsDuringBatchedIngest) {
   auto snapshot_due = [](size_t batch_index) { return batch_index % 16 == 5; };
 
   CepCapture want;
-  std::vector<std::string> want_snapshots;
   {
     CepOracle oracle(&registry_);
     AddQueries(&oracle, queries);
     oracle.SetMatchCallback([&want](const MatchNotification& n) {
       want.notes.push_back(NoteCopy::From(n));
     });
-    for (size_t i = 0; i < stream.size(); ++i) {
-      oracle.OnEvent(stream[i]);
-      const bool batch_end = (i + 1) % kBatch == 0 || i + 1 == stream.size();
-      if (batch_end && snapshot_due(i / kBatch)) {
-        BytesWriter w;
-        oracle.SaveState(&w);
-        want_snapshots.push_back(w.Take());
-      }
-    }
+    for (const Event& e : stream) oracle.OnEvent(e);
     CaptureState(oracle, &want);
   }
   ASSERT_FALSE(want.notes.empty());
@@ -312,14 +304,19 @@ TEST_F(EngineStressTest, ReadersAndCheckpointsDuringBatchedIngest) {
       rows_seen.fetch_add(local, std::memory_order_relaxed);
     });
   }
-  std::vector<std::string> snapshots;
+  struct Cut {
+    size_t events = 0;  // stream prefix the snapshot covers
+    size_t notes = 0;   // callbacks delivered by then
+    std::string snapshot;
+  };
+  std::vector<Cut> cuts;
   for (size_t i = 0, batch_index = 0; i < stream.size(); i += kBatch, ++batch_index) {
     const size_t end = std::min(stream.size(), i + kBatch);
     engine.IngestBatch(std::span<const Event>(stream).subspan(i, end - i));
     if (snapshot_due(batch_index)) {
       BytesWriter w;
       engine.SaveState(&w);
-      snapshots.push_back(w.Take());
+      cuts.push_back(Cut{end, got.notes.size(), w.Take()});
     }
   }
   done.store(true, std::memory_order_release);
@@ -328,16 +325,32 @@ TEST_F(EngineStressTest, ReadersAndCheckpointsDuringBatchedIngest) {
 
   CaptureState(engine, &got);
   ExpectSameCapture(want, got, "concurrent readers");
-  ASSERT_GE(snapshots.size(), 2u);
-  ASSERT_EQ(snapshots.size(), want_snapshots.size());
-  for (size_t s = 0; s < snapshots.size(); ++s) {
-    EXPECT_TRUE(snapshots[s] == want_snapshots[s]) << "snapshot #" << s;
-    // Every mid-stream snapshot restores into a fresh engine.
+  ASSERT_GE(cuts.size(), 2u);
+  for (size_t s = 0; s < cuts.size(); ++s) {
+    // Every mid-stream snapshot restores into a fresh engine, re-checkpoints
+    // to the same bytes and continues exactly like the uninterrupted engine.
+    const std::string label = StrFormat("snapshot #%zu", s);
     CepEngine restored(&registry_);
     AddQueries(&restored, queries);
-    BytesReader reader(snapshots[s]);
+    BytesReader reader(cuts[s].snapshot);
     const Status st = restored.RestoreState(&reader);
-    ASSERT_TRUE(st.ok()) << "snapshot #" << s << ": " << st.ToString();
+    ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+    BytesWriter resnapshot;
+    restored.SaveState(&resnapshot);
+    ASSERT_TRUE(resnapshot.str() == cuts[s].snapshot) << label;
+    CepCapture resumed;
+    restored.SetMatchCallback([&resumed](const MatchNotification& n) {
+      resumed.notes.push_back(NoteCopy::From(n));
+    });
+    const auto rest = std::span<const Event>(stream).subspan(cuts[s].events);
+    for (size_t i = 0; i < rest.size(); i += kBatch) {
+      restored.IngestBatch(rest.subspan(i, std::min(kBatch, rest.size() - i)));
+    }
+    CaptureState(restored, &resumed);
+    CepCapture want_rest = got;
+    want_rest.notes.erase(want_rest.notes.begin(),
+                          want_rest.notes.begin() + static_cast<ptrdiff_t>(cuts[s].notes));
+    ExpectSameCapture(want_rest, resumed, label);
   }
 }
 

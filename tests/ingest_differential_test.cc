@@ -2,9 +2,10 @@
 // (tests/cep_oracle.h).
 //
 // Contract under test (see cep/engine.h): for ANY batch split — per-event
-// OnEvent and batches of one included — the engine's MatchTables, match
-// callback sequence and SaveState bytes equal the oracle's, which evaluates
-// every query on its own, one QueryRun per partition, event by event.
+// OnEvent and batches of one included — the engine's MatchTables and match
+// callback sequence equal the oracle's, which evaluates every query on its
+// own, one QueryRun per partition, event by event; the engine's SaveState
+// bytes are the same for every split.
 //
 // Two families:
 //  * fixed streams with adversarial partition-key skew — one hot key (every
@@ -13,8 +14,8 @@
 //  * a property test over seeded random query sets (Kleene+, negation,
 //    WITHIN, predicates, string/int/absent partition attributes, replicas and
 //    residue-mates that merge, a mid-stream AddQuery) fed with random batch
-//    splits, which also restores an oracle-written snapshot into a fresh
-//    engine and checks that it continues identically.
+//    splits, which also restores the engine's own snapshot into a fresh
+//    engine and checks that it continues exactly like the oracle.
 
 #include <gtest/gtest.h>
 
@@ -375,15 +376,19 @@ void CheckRandomQuerySet(uint64_t seed, PropCoverage* coverage) {
   }
   if (::testing::Test::HasFatalFailure()) return;
 
-  // Recovery shape: every query re-added before any event, then the oracle's
-  // snapshot restored; the engine must continue exactly like the oracle.
+  // Recovery shape: every query re-added before any event, then the engine's
+  // snapshot from the cut restored; the engine must continue exactly like the
+  // oracle and re-checkpoint to the uninterrupted engine's bytes.
   CepCapture resumed;
   CepEngine restored(&registry);
   AddQueries(&restored, initial);
   AddQueries(&restored, {late});
-  BytesReader reader(want_at_cut.snapshot);
+  BytesReader reader(got_at_cut.snapshot);
   const Status st = restored.RestoreState(&reader);
   ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+  BytesWriter resnapshot;
+  restored.SaveState(&resnapshot);
+  ASSERT_TRUE(resnapshot.str() == got_at_cut.snapshot) << label << ": re-checkpoint";
   restored.SetMatchCallback([&resumed](const MatchNotification& n) {
     resumed.notes.push_back(NoteCopy::From(n));
   });
@@ -392,7 +397,8 @@ void CheckRandomQuerySet(uint64_t seed, PropCoverage* coverage) {
   CepCapture want_after_cut = want;
   want_after_cut.notes.erase(want_after_cut.notes.begin(),
                              want_after_cut.notes.begin() + notes_at_cut);
-  ExpectSameCapture(want_after_cut, resumed, label + " restored from the oracle");
+  ExpectSameCapture(want_after_cut, resumed, label + " restored");
+  EXPECT_TRUE(resumed.snapshot == got.snapshot) << label << ": restored final snapshot";
 }
 
 TEST(CepOraclePropertyTest, RandomQuerySetsAndSplitsMatchOracle) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -361,112 +362,237 @@ TEST_F(MergedEngineTest, MidStreamAddQueryCheckpointRestores) {
   for (int i = 0; i < 12; ++i) triplet(&part3, StrFormat("j%d", i % 4), 2.5 * i);
   part3.emplace_back(2, ++ts, MakeValues(std::string("open"), std::string("r")));
 
-  // Source run, by the engine or the oracle: snapshot after part2, then the
-  // uninterrupted state after part3.
-  auto source_run = [&](auto* cep, std::string* snapshot, CepCapture* want) {
-    AddQueries(cep, {kBase});
-    for (const Event& e : part1) cep->OnEvent(e);
-    AddQueries(cep, {kBase});  // mid-stream replica
-    for (const Event& e : part2) cep->OnEvent(e);
-    BytesWriter w;
-    cep->SaveState(&w);
-    *snapshot = w.Take();
-    for (const Event& e : part3) cep->OnEvent(e);
-    CaptureState(*cep, want);
-  };
-  std::string engine_snapshot;
-  std::string oracle_snapshot;
+  // The uninterrupted reference, by the oracle and by the engine; the engine
+  // also snapshots after part2.
   CepCapture want;
-  CepCapture engine_want;
   {
     CepOracle oracle(&registry_);
-    source_run(&oracle, &oracle_snapshot, &want);
-    CepEngine engine(&registry_);
-    source_run(&engine, &engine_snapshot, &engine_want);
+    AddQueries(&oracle, {kBase});
+    for (const Event& e : part1) oracle.OnEvent(e);
+    AddQueries(&oracle, {kBase});  // mid-stream replica
+    for (const Event& e : part2) oracle.OnEvent(e);
+    for (const Event& e : part3) oracle.OnEvent(e);
+    CaptureState(oracle, &want);
   }
-  ASSERT_TRUE(engine_snapshot == oracle_snapshot);
+  std::string snapshot;
+  CepCapture engine_want;
+  {
+    CepEngine engine(&registry_);
+    AddQueries(&engine, {kBase});
+    for (const Event& e : part1) engine.OnEvent(e);
+    AddQueries(&engine, {kBase});
+    for (const Event& e : part2) engine.OnEvent(e);
+    BytesWriter w;
+    engine.SaveState(&w);
+    snapshot = w.Take();
+    for (const Event& e : part3) engine.OnEvent(e);
+    CaptureState(engine, &engine_want);
+  }
   ExpectSameCapture(want, engine_want, "uninterrupted");
 
   // Recovery shape: both queries re-added before any event, so without the
   // persisted flags Q1 would merge into Q0's group.
-  auto restore = [&](CepEngine* engine, const std::string& snapshot) {
+  auto restore = [&](CepEngine* engine, const std::string& bytes) {
     AddQueries(engine, {kBase, kBase});
-    BytesReader reader(snapshot);
+    BytesReader reader(bytes);
     return engine->RestoreState(&reader);
   };
   CepEngine restored(&registry_);
-  const Status st = restore(&restored, oracle_snapshot);
+  const Status st = restore(&restored, snapshot);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(restored.merge_stats().groups, 2u);
 
   // The flags must survive a re-checkpoint of the restored engine too.
   BytesWriter resnapshot;
   restored.SaveState(&resnapshot);
-  ASSERT_TRUE(resnapshot.str() == oracle_snapshot);
+  ASSERT_TRUE(resnapshot.str() == snapshot);
   CepEngine second(&registry_);
   const Status st2 = restore(&second, resnapshot.str());
   ASSERT_TRUE(st2.ok()) << "re-checkpoint: " << st2.ToString();
 
-  want.notes.clear();  // the restored engines run without a callback
+  // Both continue exactly like the uninterrupted engine (which matched the
+  // oracle above), snapshot bytes included.
+  engine_want.notes.clear();  // the restored engines run without a callback
   for (CepEngine* engine : {&restored, &second}) {
     for (const Event& e : part3) engine->OnEvent(e);
     CepCapture got;
     CaptureState(*engine, &got);
-    ExpectSameCapture(want, got, "restored");
+    ExpectSameCapture(engine_want, got, "restored");
   }
 }
 
-TEST_F(MergedEngineTest, CheckpointRoundTripsWithOracle) {
-  // A snapshot the engine takes restores into the oracle and vice versa,
-  // mid-pattern state included, and both continue identically.
-  std::vector<Event> first_half;
-  std::vector<Event> second_half;
+// Starts and ticks for four jobs, and the End events that close them: a
+// snapshot between the two leaves every run mid-kleene.
+void MidKleeneHalves(std::vector<Event>* first_half, std::vector<Event>* second_half) {
   Timestamp ts = 0;
   for (int i = 0; i < 30; ++i) {
     const std::string job = StrFormat("j%d", i % 4);
-    // Leave runs mid-kleene at the snapshot point: starts and ticks in the
-    // first half, closing End events only in the second.
-    first_half.emplace_back(0, ++ts, MakeValues(job, std::string("r")));
-    first_half.emplace_back(1, ++ts, MakeValues(job, std::string("r"), 0.5 * i));
-    first_half.emplace_back(1, ++ts, MakeValues(job, std::string("r"), 1.5 * i));
-    second_half.emplace_back(2, ++ts, MakeValues(job, std::string("r")));
+    first_half->emplace_back(0, ++ts, MakeValues(job, std::string("r")));
+    first_half->emplace_back(1, ++ts, MakeValues(job, std::string("r"), 0.5 * i));
+    first_half->emplace_back(1, ++ts, MakeValues(job, std::string("r"), 1.5 * i));
+    second_half->emplace_back(2, ++ts, MakeValues(job, std::string("r")));
   }
+}
 
-  const std::vector<std::string> queries = {
-      kBase, kBase,
-      "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
-      "RETURN (b[i].timestamp, a.job, count(b[1..i].size))"};
+constexpr char kCountVariant[] =
+    "PATTERN SEQ(Start a, Tick+ b[], End c) WHERE [job] "
+    "RETURN (b[i].timestamp, a.job, count(b[1..i].size))";
 
-  auto snapshot_of = [&](auto* cep) {
-    AddQueries(cep, queries);
-    for (const Event& e : first_half) cep->OnEvent(e);
+TEST_F(MergedEngineTest, CheckpointRestoreContinuesLikeOracle) {
+  // An engine snapshot taken mid-pattern restores into a fresh engine, which
+  // continues exactly like the uninterrupted oracle.
+  std::vector<Event> first_half;
+  std::vector<Event> second_half;
+  MidKleeneHalves(&first_half, &second_half);
+  const std::vector<std::string> queries = {kBase, kBase, kCountVariant};
+
+  CepOracle oracle(&registry_);
+  AddQueries(&oracle, queries);
+  for (const Event& e : first_half) oracle.OnEvent(e);
+  for (const Event& e : second_half) oracle.OnEvent(e);
+  CepCapture want;
+  CaptureState(oracle, &want);
+
+  CepEngine source(&registry_);
+  AddQueries(&source, queries);
+  for (const Event& e : first_half) source.OnEvent(e);
+  BytesWriter w;
+  source.SaveState(&w);
+  const std::string snapshot = w.Take();
+  for (const Event& e : second_half) source.OnEvent(e);
+  CepCapture uninterrupted;
+  CaptureState(source, &uninterrupted);
+  ExpectSameCapture(want, uninterrupted, "uninterrupted");
+
+  CepEngine restored(&registry_);
+  AddQueries(&restored, queries);
+  BytesReader reader(snapshot);
+  const Status st = restored.RestoreState(&reader);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  BytesWriter resnapshot;
+  restored.SaveState(&resnapshot);
+  ASSERT_TRUE(resnapshot.str() == snapshot);
+  for (const Event& e : second_half) restored.OnEvent(e);
+  CepCapture got;
+  CaptureState(restored, &got);
+  ExpectSameCapture(want, got, "restored vs oracle");
+  ExpectSameCapture(uninterrupted, got, "restored vs uninterrupted engine");
+}
+
+std::string SnapshotOf(const CepEngine& engine) {
+  BytesWriter w;
+  engine.SaveState(&w);
+  return w.Take();
+}
+
+TEST_F(MergedEngineTest, ReplicasSnapshotEachFactOnce) {
+  // Eight replicas share one group, one residue and one physical table: the
+  // snapshot holds them once, not once per member query.
+  std::vector<Event> first_half;
+  std::vector<Event> second_half;
+  MidKleeneHalves(&first_half, &second_half);
+  auto snapshot_size = [&](size_t replicas) {
+    CepEngine engine(&registry_);
+    AddQueries(&engine, std::vector<std::string>(replicas, kBase));
+    for (const Event& e : first_half) engine.OnEvent(e);
+    return SnapshotOf(engine).size();
+  };
+  const size_t one = snapshot_size(1);
+  const size_t eight = snapshot_size(8);
+  EXPECT_LT(static_cast<double>(eight), 1.5 * static_cast<double>(one))
+      << "one query: " << one << " B, eight replicas: " << eight << " B";
+}
+
+TEST_F(MergedEngineTest, GroupTablesThatDisagreeOnKeysAreCorrupt) {
+  // Q0 and Q1 are residue-mates: one group, two physical tables, whose
+  // records close the snapshot. Swapping in Q1's table from a run that saw
+  // the same partitions in another order (or one more partition) must not
+  // restore.
+  const std::vector<std::string> queries = {kBase, kCountVariant};
+  auto run = [&](const std::vector<std::string>& jobs, CepEngine* engine) {
+    AddQueries(engine, queries);
+    Timestamp ts = 0;
+    for (const std::string& job : jobs) {
+      engine->OnEvent(Event(0, ++ts, MakeValues(job, std::string("r"))));
+      engine->OnEvent(Event(1, ++ts, MakeValues(job, std::string("r"), 2.0)));
+    }
+  };
+  auto table_bytes = [](const CepEngine& engine, QueryId q) {
     BytesWriter w;
-    cep->SaveState(&w);
+    engine.match_table(q).SaveState(&w);
     return w.Take();
   };
-  CepOracle oracle_source(&registry_);
-  CepEngine engine_source(&registry_);
-  const std::string from_oracle = snapshot_of(&oracle_source);
-  const std::string from_engine = snapshot_of(&engine_source);
-  ASSERT_TRUE(from_engine == from_oracle);
-  for (const Event& e : second_half) oracle_source.OnEvent(e);
-  CepCapture want;
-  CaptureState(oracle_source, &want);
+  CepEngine source(&registry_);
+  run({"a", "b"}, &source);
+  ASSERT_EQ(source.merge_stats().groups, 1u);
+  const std::string snapshot = SnapshotOf(source);
+  const std::string tables = table_bytes(source, 0) + table_bytes(source, 1);
+  ASSERT_GT(snapshot.size(), tables.size());
+  ASSERT_EQ(snapshot.substr(snapshot.size() - tables.size()), tables);
+  const std::string head = snapshot.substr(0, snapshot.size() - tables.size());
 
-  auto finish = [&](auto* cep, const std::string& snapshot, const std::string& label) {
-    AddQueries(cep, queries);
-    BytesReader reader(snapshot);
-    const Status st = cep->RestoreState(&reader);
-    ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-    for (const Event& e : second_half) cep->OnEvent(e);
-    CepCapture got;
-    CaptureState(*cep, &got);
-    ExpectSameCapture(want, got, label);
+  CepEngine swapped(&registry_);
+  run({"b", "a"}, &swapped);
+  CepEngine extra(&registry_);
+  run({"a", "b", "c"}, &extra);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"keys in another order", head + table_bytes(source, 0) + table_bytes(swapped, 1)},
+      {"one key more than runs", head + table_bytes(extra, 0) + table_bytes(extra, 1)},
   };
-  CepOracle oracle(&registry_);
-  finish(&oracle, from_engine, "engine snapshot -> oracle");
-  CepEngine engine(&registry_);
-  finish(&engine, from_oracle, "oracle snapshot -> engine");
+  for (const auto& [label, bytes] : cases) {
+    CepEngine restored(&registry_);
+    AddQueries(&restored, queries);
+    BytesReader reader(bytes);
+    const Status st = restored.RestoreState(&reader);
+    EXPECT_TRUE(st.IsCorruption()) << label << ": " << st.ToString();
+  }
+  // The untouched snapshot restores.
+  CepEngine restored(&registry_);
+  AddQueries(&restored, queries);
+  BytesReader reader(snapshot);
+  EXPECT_TRUE(restored.RestoreState(&reader).ok());
+}
+
+TEST_F(MergedEngineTest, RunPositionOutsideThePatternIsCorrupt) {
+  // Step indexes the pattern's components with a run's NFA position, so a
+  // position that does not fit the three-component pattern must not restore.
+  CepEngine source(&registry_);
+  AddQueries(&source, {kBase});
+  source.OnEvent(Event(0, 1, MakeValues(std::string("j"), std::string("r"))));
+  source.OnEvent(Event(1, 2, MakeValues(std::string("j"), std::string("r"), 1.0)));
+  const std::string snapshot = SnapshotOf(source);
+  // The only run's record follows the event count, the query count, one
+  // flag, the group count and the run count: u64 state, i32 last positive
+  // component, i64 run start, u8 kleene flag.
+  constexpr size_t kState = 8 + 4 + 1 + 4 + 4;
+  constexpr size_t kLastPositive = kState + 8;
+  constexpr size_t kKleene = kLastPositive + 4 + 8;
+  auto patched = [&](size_t offset, auto value) {
+    std::string bytes = snapshot;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"state past the pattern", patched(kState, uint64_t{99})},
+      {"open closure past the last component", patched(kState, uint64_t{3})},
+      {"open closure on a non-kleene component", patched(kState, uint64_t{0})},
+      {"last positive past the pattern", patched(kLastPositive, int32_t{3})},
+      {"last positive below -1", patched(kLastPositive, int32_t{-2})},
+  };
+  for (const auto& [label, bytes] : cases) {
+    CepEngine restored(&registry_);
+    AddQueries(&restored, {kBase});
+    BytesReader reader(bytes);
+    const Status st = restored.RestoreState(&reader);
+    EXPECT_TRUE(st.IsCorruption()) << label << ": " << st.ToString();
+  }
+  // The unpatched snapshot is mid-closure on component 1 and restores.
+  ASSERT_EQ(patched(kKleene, uint8_t{1}), snapshot);
+  ASSERT_EQ(patched(kState, uint64_t{1}), snapshot);
+  CepEngine restored(&registry_);
+  AddQueries(&restored, {kBase});
+  BytesReader reader(snapshot);
+  EXPECT_TRUE(restored.RestoreState(&reader).ok());
 }
 
 }  // namespace

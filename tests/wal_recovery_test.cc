@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "io/file_util.h"
 #include "sim/chaos.h"
@@ -601,6 +603,37 @@ TEST(WalRecoveryTest, RecoverGuardsFreshnessAndQueryMatch) {
     XStreamSystem sys(w.registry.get(), cfg);
     EXPECT_FALSE(sys.Recover(ckpt_dir).ok());
   }
+}
+
+// A manifest of a retired format version is refused by name, even with a
+// valid checksum, rather than misparsed.
+TEST(WalRecoveryTest, RetiredManifestVersionIsRejected) {
+  const Workload w = MakeHadoopWorkload();
+  const std::string ckpt_dir = MakeTempDir("ckpt");
+  QueryId qid = 0;
+  {
+    auto sys = MakeSystem(w, "", 4u << 20, &qid);
+    Feed(sys.get(), w.events, 0, kBatch);
+    ASSERT_TRUE(sys->Checkpoint(ckpt_dir).ok());
+  }
+  // Framing: u32 CRC of the rest, u32 magic, u32 version.
+  const std::string path = ckpt_dir + "/MANIFEST";
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string manifest = *bytes;
+  ASSERT_GE(manifest.size(), 12u);
+  const uint32_t v2 = 2;
+  std::memcpy(manifest.data() + 8, &v2, sizeof(v2));
+  const uint32_t crc = Crc32(manifest.data() + 4, manifest.size() - 4);
+  std::memcpy(manifest.data(), &crc, sizeof(crc));
+  ASSERT_TRUE(WriteFileAtomic(path, manifest).ok());
+
+  auto sys = MakeSystem(w, "", 4u << 20, &qid);
+  const auto rep = sys->Recover(ckpt_dir);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_TRUE(rep.status().IsCorruption()) << rep.status().ToString();
+  EXPECT_NE(rep.status().ToString().find("version 2"), std::string::npos)
+      << rep.status().ToString();
 }
 
 // Checkpoint round-trip of a tiered archive: resident-sealed chunks rebuild
