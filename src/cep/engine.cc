@@ -48,7 +48,29 @@ Result<QueryId> CepEngine::AddQuery(const Query& query) {
   // though recovery re-adds every query before any event flows.
   qs.added_mid_stream = events_processed_ > 0;
   AssignMergePlan(id, /*force_singleton=*/qs.added_mid_stream);
+  qs.notify = notify_new_queries_;
   return id;
+}
+
+void CepEngine::SetMatchCallback(std::function<void(const MatchNotification&)> cb) {
+  for (auto& qs : queries_) qs->notify = true;
+  notify_new_queries_ = true;
+  callback_ = std::move(cb);
+}
+
+Status CepEngine::SetMatchCallback(std::span<const QueryId> queries,
+                                   std::function<void(const MatchNotification&)> cb) {
+  for (const QueryId q : queries) {
+    if (q >= queries_.size()) {
+      return Status::InvalidArgument(StrFormat(
+          "match callback names query %u, engine has %zu", q, queries_.size()));
+    }
+  }
+  for (auto& qs : queries_) qs->notify = false;
+  for (const QueryId q : queries) queries_[q]->notify = true;
+  notify_new_queries_ = false;
+  callback_ = std::move(cb);
+  return Status::OK();
 }
 
 void CepEngine::AssignMergePlan(QueryId id, bool force_singleton) {
@@ -221,6 +243,7 @@ void CepEngine::ProcessGroup(MergeGroup& g, std::span<const Event> batch) {
         }
         if (want_notes) {
           for (const QueryId q : rc.members) {
+            if (!queries_[q]->notify) continue;
             notes_.push_back({it.event,
                               MatchNotification{q, it.run, g.interner.KeyOf(it.run),
                                                 row_, step.match_complete}});
@@ -230,6 +253,7 @@ void CepEngine::ProcessGroup(MergeGroup& g, std::span<const Event> batch) {
         for (TableClass& tc : rc.tables) tc.table->MarkComplete(bucket);
         if (want_notes) {
           for (const QueryId q : rc.members) {
+            if (!queries_[q]->notify) continue;
             notes_.push_back({it.event,
                               MatchNotification{q, it.run, g.interner.KeyOf(it.run),
                                                 MatchRow{}, true}});

@@ -13,17 +13,17 @@
 // Ingestion is batched: IngestBatch extracts and hashes partition keys once
 // per event (not once per query per event), then walks each group's relevant
 // events in stream order — interning keys to dense ids, stepping the shared
-// runs, appending rows — and finally delivers the batch's match callbacks in
-// canonical (event, query) order. OnEvent is a batch of one over the same
-// code.
+// runs, appending rows — and finally delivers the batch's match callbacks,
+// for the queries the subscriber named, in canonical (event, query) order.
+// OnEvent is a batch of one over the same code.
 //
 // Determinism contract: for any batch split, the resulting MatchTables and
-// the callback sequence are identical to evaluating every query on its own,
-// one run per partition, event by event (the reference oracle of
-// tests/cep_oracle.h the differential tests compare against), and the
-// SaveState bytes are identical across batch splits. A snapshot restored into
-// a freshly planned engine continues exactly like the uninterrupted engine and
-// re-checkpoints to the same bytes.
+// the callback sequence (restricted to the subscribed queries) are identical
+// to evaluating every query on its own, one run per partition, event by event
+// (the reference oracle of tests/cep_oracle.h the differential tests compare
+// against), and the SaveState bytes are identical across batch splits. A
+// snapshot restored into a freshly planned engine continues exactly like the
+// uninterrupted engine and re-checkpoints to the same bytes.
 
 #pragma once
 
@@ -112,14 +112,24 @@ class CepEngine : public EventSink {
   /// Lookup by query name; NotFound if absent.
   Result<QueryId> QueryIdByName(std::string_view name) const;
 
-  /// \brief Registers a callback invoked on every emitted match row.
+  /// \brief Registers a callback invoked on every emitted match row of every
+  /// query, including queries added later.
   ///
   /// Rows are appended to the match table before the callback sees them.
   /// Callbacks for a batch are delivered after the batch is evaluated, in
   /// canonical (event, query) order, on the ingesting thread.
-  void SetMatchCallback(std::function<void(const MatchNotification&)> cb) {
-    callback_ = std::move(cb);
-  }
+  void SetMatchCallback(std::function<void(const MatchNotification&)> cb);
+
+  /// \brief Registers a callback for the listed queries only.
+  ///
+  /// Notifications are built, ordered and delivered (as above) only for
+  /// members of `queries`; an empty list builds none. Queries added after
+  /// this call are not subscribed. The subscription is runtime wiring, not
+  /// evaluation state: it survives a mid-stream AddQuery and RestoreState,
+  /// and SaveState bytes do not depend on it. InvalidArgument, installing
+  /// nothing, if an id is not registered.
+  Status SetMatchCallback(std::span<const QueryId> queries,
+                          std::function<void(const MatchNotification&)> cb);
 
   /// \brief Serializes the engine's mutable evaluation state, each fact once:
   /// the processed-event count; each query's mid-stream-add flag, so the
@@ -176,6 +186,8 @@ class CepEngine : public EventSink {
     /// Added after ingestion started (forced singleton in the merge plan).
     /// Persisted by SaveState so RestoreState reproduces the same plan.
     bool added_mid_stream = false;
+    /// The match callback receives this query's notes.
+    bool notify = false;
 
     QueryState(CompiledQuery cq)
         : compiled(std::move(cq)), matches(compiled.OutputColumns()),
@@ -243,7 +255,8 @@ class CepEngine : public EventSink {
   uint32_t InternGroupKey(MergeGroup& g, std::string_view key, uint64_t hash);
 
   /// Evaluates the routed items_ of group `g`: steps its shared runs, appends
-  /// rows to every table class and, with a callback set, buffers notes.
+  /// rows to every table class and, with a callback set, buffers notes for
+  /// the subscribed members.
   void ProcessGroup(MergeGroup& g, std::span<const Event> batch);
 
   /// Sorts the batch's notes into (event, query) order and fires callbacks.
@@ -252,6 +265,7 @@ class CepEngine : public EventSink {
   const EventTypeRegistry* registry_;  // not owned
   std::vector<std::unique_ptr<QueryState>> queries_;
   std::function<void(const MatchNotification&)> callback_;
+  bool notify_new_queries_ = false;  ///< AddQuery subscribes the new query
   uint64_t events_processed_ = 0;
 
   // Partition-key extraction, shared across queries.

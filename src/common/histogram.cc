@@ -16,9 +16,10 @@ Histogram::Histogram(double lo, double hi, size_t buckets)
       min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity()) {}
 
-void Histogram::Add(double v) {
-  ++count_;
-  sum_ += v;
+void Histogram::AddN(double v, uint64_t n) {
+  if (n == 0) return;
+  count_ += n;
+  sum_ += v * static_cast<double>(n);
   min_ = std::min(min_, v);
   max_ = std::max(max_, v);
   size_t idx;
@@ -30,8 +31,7 @@ void Histogram::Add(double v) {
     idx = 1 + static_cast<size_t>((v - lo_) / width_);
     idx = std::min(idx, bins_.size() - 2);
   }
-  ++bins_[idx];
-  samples_above_hint_.push_back(v);
+  bins_[idx] += n;
 }
 
 double Histogram::ApproxPercentile(double p) const {
@@ -51,10 +51,17 @@ double Histogram::ApproxPercentile(double p) const {
 }
 
 double Histogram::FractionAbove(double threshold) const {
-  if (samples_above_hint_.empty()) return 0.0;
-  const auto n = std::count_if(samples_above_hint_.begin(), samples_above_hint_.end(),
-                               [&](double v) { return v > threshold; });
-  return static_cast<double>(n) / static_cast<double>(samples_above_hint_.size());
+  if (count_ == 0 || threshold >= max_) return 0.0;
+  if (threshold < min_) return 1.0;
+  // Bucket i >= 1 starts at lo_ + (i - 1) * width_; the overflow bucket
+  // starts at hi_. The underflow bucket has no lower edge and never counts.
+  uint64_t above = 0;
+  for (size_t i = 1; i < bins_.size(); ++i) {
+    const double edge =
+        i == bins_.size() - 1 ? hi_ : lo_ + static_cast<double>(i - 1) * width_;
+    if (edge >= threshold) above += bins_[i];
+  }
+  return static_cast<double>(above) / static_cast<double>(count_);
 }
 
 std::string Histogram::Summary() const {

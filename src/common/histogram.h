@@ -19,7 +19,11 @@ class Histogram {
   /// \param buckets number of equal-width buckets between lo and hi
   Histogram(double lo, double hi, size_t buckets);
 
-  void Add(double v);
+  void Add(double v) { AddN(v, 1); }
+
+  /// Adds `n` samples of value `v` in O(1): the same counts, extremes and
+  /// buckets as `n` calls of Add(v). The sum takes one rounding (v * n), not n.
+  void AddN(double v, uint64_t n);
 
   uint64_t count() const { return count_; }
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
@@ -29,7 +33,13 @@ class Histogram {
   /// Approximate percentile from bucket midpoints, p in [0,100].
   double ApproxPercentile(double p) const;
 
-  /// Fraction of samples strictly above the threshold.
+  /// \brief Fraction of samples strictly above the threshold, from the
+  /// bucket counts.
+  ///
+  /// Resolution is one bucket: samples in buckets whose lower edge is at or
+  /// above `threshold` count, and the bucket holding `threshold` does not
+  /// (a sample equal to a bucket's lower edge counts as above it). Exact when
+  /// `threshold` is below min() or at or above max().
   double FractionAbove(double threshold) const;
 
   /// One-line summary for logs: count/mean/p50/p99/max.
@@ -44,7 +54,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_;
   double max_;
-  std::vector<double> samples_above_hint_;  // exact values kept for FractionAbove
 };
 
 }  // namespace exstream

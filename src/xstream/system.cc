@@ -128,10 +128,14 @@ void XStreamSystem::BindDetector(QueryId query, const std::string& name) {
   const size_t col = *column_index;
   // Fires on the applying thread, after each batch, in deterministic
   // (event, query) order — so detection is reproducible for a fixed stream.
-  engine_.SetMatchCallback([detector, query, col](const MatchNotification& n) {
-    if (n.query != query || col >= n.row.values.size()) return;
-    detector->Observe(n.partition, n.row.ts, n.row.values[col].AsDouble());
-  });
+  // Only the monitored query is subscribed, so no other query's notes are
+  // built; `query` was just registered, so the subscription cannot fail.
+  const QueryId subscribed[] = {query};
+  (void)engine_.SetMatchCallback(
+      subscribed, [detector, col](const MatchNotification& n) {
+        if (col >= n.row.values.size()) return;
+        detector->Observe(n.partition, n.row.ts, n.row.values[col].AsDouble());
+      });
   if (config_.serving.auto_explain) {
     auto_worker_ = std::thread(&XStreamSystem::AutoExplainLoop, this);
   }
@@ -259,7 +263,7 @@ void XStreamSystem::ApplyBatch(EventBatch batch) {
   Histogram& hist = explanations_running_.load(std::memory_order_relaxed) > 0
                         ? busy_latency_
                         : idle_latency_;
-  for (size_t i = 0; i < n; ++i) hist.Add(per_event);
+  hist.AddN(per_event, n);
   // Publish the new data version only after the batch is visible everywhere;
   // cache keys built from it then name state that actually exists.
   data_watermark_.store(next_seq_, std::memory_order_release);

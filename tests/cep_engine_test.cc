@@ -194,6 +194,125 @@ TEST_F(CepEngineTest, MatchCallbackInvoked) {
   EXPECT_EQ(notifications[0].partition, "j1");
 }
 
+// Queries notified by a callback, in delivery order.
+std::vector<QueryId> NotifiedQueries(const std::vector<MatchNotification>& notes) {
+  std::vector<QueryId> out;
+  for (const MatchNotification& n : notes) out.push_back(n.query);
+  return out;
+}
+
+std::string Snapshot(const CepEngine& engine) {
+  BytesWriter w;
+  engine.SaveState(&w);
+  return w.Take();
+}
+
+TEST_F(CepEngineTest, EmptySubscriptionFiresNothing) {
+  CepEngine quiet(&registry_);
+  CepEngine plain(&registry_);
+  for (CepEngine* e : {&quiet, &plain}) {
+    ASSERT_TRUE(e->AddQueryText(kQueueQuery, "Q").ok());
+    ASSERT_TRUE(e->AddQueryText(kQueueQuery, "R").ok());
+  }
+  size_t calls = 0;
+  ASSERT_TRUE(
+      quiet.SetMatchCallback({}, [&](const MatchNotification&) { ++calls; }).ok());
+  const std::vector<Event> events = {Start(0, "j1"), Io(1, "j1", 3), Io(2, "j1", 4),
+                                     End(3, "j1")};
+  quiet.IngestBatch(events);
+  plain.IngestBatch(events);
+  EXPECT_EQ(calls, 0u);
+  EXPECT_EQ(quiet.match_table(0).NumRows("j1"), 2u);
+  EXPECT_EQ(Snapshot(quiet), Snapshot(plain));
+}
+
+TEST_F(CepEngineTest, SubscriptionToUnknownQueryIsRejected) {
+  CepEngine engine(&registry_);
+  ASSERT_TRUE(engine.AddQueryText(kQueueQuery, "Q").ok());
+  size_t calls = 0;
+  engine.SetMatchCallback([&](const MatchNotification&) { ++calls; });
+  const std::vector<QueryId> bad = {0, 1};
+  const Status st =
+      engine.SetMatchCallback(bad, [](const MatchNotification&) { FAIL(); });
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // Nothing was installed: the earlier all-queries callback still fires.
+  engine.OnEvent(Start(0, "j1"));
+  engine.OnEvent(Io(1, "j1", 1));
+  EXPECT_EQ(calls, 1u);
+}
+
+TEST_F(CepEngineTest, QueryAddedAfterSubscribingGetsNoNotes) {
+  CepEngine engine(&registry_);
+  ASSERT_TRUE(engine.AddQueryText(kQueueQuery, "Q").ok());
+  std::vector<MatchNotification> notes;
+  const std::vector<QueryId> subscribed = {0};
+  auto record = [&](const MatchNotification& n) { notes.push_back(n); };
+  ASSERT_TRUE(engine.SetMatchCallback(subscribed, record).ok());
+  engine.OnEvent(Start(0, "j1"));
+  auto late = engine.AddQueryText(kQueueQuery, "late");
+  ASSERT_TRUE(late.ok());
+  engine.OnEvent(Start(1, "j2"));
+  engine.OnEvent(Io(2, "j2", 1));
+  engine.OnEvent(End(3, "j2"));
+  EXPECT_EQ(engine.match_table(*late).NumRows("j2"), 1u);  // evaluated...
+  EXPECT_EQ(NotifiedQueries(notes), (std::vector<QueryId>{0, 0}));  // ...not notified
+}
+
+TEST_F(CepEngineTest, AllQueriesCallbackCoversLaterQueries) {
+  CepEngine engine(&registry_);
+  ASSERT_TRUE(engine.AddQueryText(kQueueQuery, "Q").ok());
+  std::vector<MatchNotification> notes;
+  engine.SetMatchCallback([&](const MatchNotification& n) { notes.push_back(n); });
+  engine.OnEvent(Start(0, "j1"));
+  ASSERT_TRUE(engine.AddQueryText(kQueueQuery, "late").ok());
+  engine.OnEvent(Start(1, "j2"));
+  engine.OnEvent(Io(2, "j2", 1));
+  engine.OnEvent(End(3, "j2"));
+  // Row then completion, for each query in id order.
+  EXPECT_EQ(NotifiedQueries(notes), (std::vector<QueryId>{0, 1, 0, 1}));
+}
+
+TEST_F(CepEngineTest, SubscriptionSurvivesRestoreState) {
+  // The saving engine adds R mid-stream, so the restoring engine (every
+  // query added up front) must rebuild its merge plan on restore.
+  const std::vector<Event> head = {Start(0, "j1"), Io(1, "j1", 2)};
+  const std::vector<Event> middle = {Start(2, "j2"), Io(3, "j2", 5)};
+  const std::vector<Event> tail = {Io(4, "j1", 1), Io(5, "j2", 1), End(6, "j1"),
+                                   End(7, "j2")};
+  CepEngine live(&registry_);
+  ASSERT_TRUE(live.AddQueryText(kQueueQuery, "Q").ok());
+  live.IngestBatch(head);
+  ASSERT_TRUE(live.AddQueryText(kQueueQuery, "R").ok());
+  live.IngestBatch(middle);
+  const std::string snapshot = Snapshot(live);
+  std::vector<MatchNotification> want;
+  live.SetMatchCallback([&](const MatchNotification& n) {
+    if (n.query == 1) want.push_back(n);
+  });
+  live.IngestBatch(tail);
+
+  CepEngine restored(&registry_);
+  ASSERT_TRUE(restored.AddQueryText(kQueueQuery, "Q").ok());
+  ASSERT_TRUE(restored.AddQueryText(kQueueQuery, "R").ok());
+  std::vector<MatchNotification> got;
+  const std::vector<QueryId> subscribed = {1};
+  auto record = [&](const MatchNotification& n) { got.push_back(n); };
+  ASSERT_TRUE(restored.SetMatchCallback(subscribed, record).ok());
+  BytesReader reader(snapshot);
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  restored.IngestBatch(tail);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), 2u);  // R never saw j1 start: j2's row and completion
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].query, 1u);
+    EXPECT_EQ(got[i].partition, want[i].partition);
+    EXPECT_EQ(got[i].row.ts, want[i].row.ts);
+    EXPECT_EQ(got[i].row.values, want[i].row.values);
+    EXPECT_EQ(got[i].complete, want[i].complete);
+  }
+  EXPECT_EQ(Snapshot(restored), Snapshot(live));
+}
+
 TEST_F(CepEngineTest, CompileErrors) {
   CepEngine engine(&registry_);
   // Unknown event type.

@@ -15,10 +15,13 @@
 //    WITHIN, predicates, string/int/absent partition attributes, replicas and
 //    residue-mates that merge, a mid-stream AddQuery) fed with random batch
 //    splits, which also restores the engine's own snapshot into a fresh
-//    engine and checks that it continues exactly like the oracle.
+//    engine and checks that it continues exactly like the oracle; and engines
+//    subscribed to a random subset of the queries (live and restored) deliver
+//    exactly the oracle's notes for that subset.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -299,6 +302,29 @@ void IngestSplit(CepEngine* engine, std::span<const Event> events,
   }
 }
 
+// A random subscription over query ids [0, num_ids): sometimes empty,
+// otherwise each id with probability 0.4.
+std::vector<QueryId> RandomSubscription(Rng* rng, size_t num_ids) {
+  std::vector<QueryId> ids;
+  if (rng->Chance(0.15)) return ids;
+  for (QueryId q = 0; q < num_ids; ++q) {
+    if (rng->Chance(0.4)) ids.push_back(q);
+  }
+  return ids;
+}
+
+// The notes of `notes` whose query is in `subscribed`, in order.
+std::vector<NoteCopy> FilterNotes(const std::vector<NoteCopy>& notes,
+                                  const std::vector<QueryId>& subscribed) {
+  std::vector<NoteCopy> out;
+  for (const NoteCopy& n : notes) {
+    if (std::find(subscribed.begin(), subscribed.end(), n.query) != subscribed.end()) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
 // Totals over all seeds, so the property test can prove it exercised merging,
 // negation, emissions and completions rather than vacuously agreeing.
 struct PropCoverage {
@@ -307,6 +333,8 @@ struct PropCoverage {
   size_t unmergeable = 0;
   size_t rows = 0;
   size_t completions = 0;
+  size_t empty_subscriptions = 0;
+  size_t late_subscriptions = 0;
 };
 
 void CheckRandomQuerySet(uint64_t seed, PropCoverage* coverage) {
@@ -399,6 +427,70 @@ void CheckRandomQuerySet(uint64_t seed, PropCoverage* coverage) {
                              want_after_cut.notes.begin() + notes_at_cut);
   ExpectSameCapture(want_after_cut, resumed, label + " restored");
   EXPECT_TRUE(resumed.snapshot == got.snapshot) << label << ": restored final snapshot";
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Subscriptions: an engine that names a random subset of the queries sees
+  // exactly the oracle's notes for that subset, in the same order, and leaves
+  // the same tables and checkpoint bytes as the all-queries engine. A draw
+  // from its own generator keeps the splits above unchanged per seed.
+  Rng sub_rng(seed ^ 0x5eed5eed5eedULL);
+  const QueryId late_id = static_cast<QueryId>(initial.size());
+  const std::vector<QueryId> subscribed =
+      RandomSubscription(&sub_rng, initial.size() + 1);
+  const bool late_subscribed = !subscribed.empty() && subscribed.back() == late_id;
+  coverage->empty_subscriptions += subscribed.empty() ? 1 : 0;
+  coverage->late_subscriptions += late_subscribed ? 1 : 0;
+  auto sub_label = [&](const char* what) {
+    std::string ids;
+    for (const QueryId q : subscribed) ids += StrFormat(" %u", q);
+    return StrFormat("%s %s (subscribed:%s)", label.c_str(), what, ids.c_str());
+  };
+  CepCapture sub_got;
+  auto record = [&sub_got](const MatchNotification& n) {
+    sub_got.notes.push_back(NoteCopy::From(n));
+  };
+  CepEngine sub(&registry);
+  AddQueries(&sub, initial);
+  if (late_subscribed) {
+    // The late query is not registered yet: naming it is refused, and the
+    // rest is subscribed until it is.
+    EXPECT_TRUE(sub.SetMatchCallback(subscribed, record).IsInvalidArgument())
+        << sub_label("early");
+    const std::span<const QueryId> early(subscribed.data(), subscribed.size() - 1);
+    ASSERT_TRUE(sub.SetMatchCallback(early, record).ok()) << sub_label("early");
+  } else {
+    ASSERT_TRUE(sub.SetMatchCallback(subscribed, record).ok()) << sub_label("set");
+  }
+  IngestSplit(&sub, all.first(cut), RandomSplit(&sub_rng, cut));
+  AddQueries(&sub, {late});
+  if (late_subscribed) {
+    ASSERT_TRUE(sub.SetMatchCallback(subscribed, record).ok()) << sub_label("late");
+  }
+  IngestSplit(&sub, all.subspan(cut), RandomSplit(&sub_rng, stream.size() - cut));
+  CaptureState(sub, &sub_got);
+  CepCapture sub_want = got;
+  sub_want.notes = FilterNotes(want.notes, subscribed);
+  ExpectSameCapture(sub_want, sub_got, sub_label("subscribed"));
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // The same subscription, installed before RestoreState, survives it.
+  CepCapture sub_resumed;
+  CepEngine sub_restored(&registry);
+  AddQueries(&sub_restored, initial);
+  AddQueries(&sub_restored, {late});
+  auto record_resumed = [&sub_resumed](const MatchNotification& n) {
+    sub_resumed.notes.push_back(NoteCopy::From(n));
+  };
+  ASSERT_TRUE(sub_restored.SetMatchCallback(subscribed, record_resumed).ok());
+  BytesReader sub_reader(got_at_cut.snapshot);
+  const Status sub_st = sub_restored.RestoreState(&sub_reader);
+  ASSERT_TRUE(sub_st.ok()) << sub_label("restore") << ": " << sub_st.ToString();
+  IngestSplit(&sub_restored, all.subspan(cut),
+              RandomSplit(&sub_rng, stream.size() - cut));
+  CaptureState(sub_restored, &sub_resumed);
+  CepCapture sub_want_resumed = resumed;
+  sub_want_resumed.notes = FilterNotes(want_after_cut.notes, subscribed);
+  ExpectSameCapture(sub_want_resumed, sub_resumed, sub_label("restored subscribed"));
 }
 
 TEST(CepOraclePropertyTest, RandomQuerySetsAndSplitsMatchOracle) {
@@ -413,6 +505,8 @@ TEST(CepOraclePropertyTest, RandomQuerySetsAndSplitsMatchOracle) {
   EXPECT_GT(coverage.unmergeable, 100u);  // negation singletons
   EXPECT_GT(coverage.rows, 10000u);
   EXPECT_GT(coverage.completions, 1000u);
+  EXPECT_GT(coverage.empty_subscriptions, 10u);
+  EXPECT_GT(coverage.late_subscriptions, 30u);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include "common/stats.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace exstream {
 namespace {
@@ -83,6 +85,53 @@ TEST(HistogramTest, ApproxPercentileReasonable) {
   for (int i = 0; i < 10000; ++i) h.Add(rng.Uniform(0, 100));
   EXPECT_NEAR(h.ApproxPercentile(50), 50, 3.0);
   EXPECT_NEAR(h.ApproxPercentile(99), 99, 3.0);
+}
+
+TEST(HistogramTest, AddNEqualsRepeatedAdd) {
+  // Only the mean may differ, by rounding: n additions against one product.
+  for (const double v : {0.25, 0.1, 0.0375, -2.0, 7.5}) {
+    for (const uint64_t n : {uint64_t{1}, uint64_t{3}, uint64_t{256}}) {
+      Histogram one_by_one(0, 1, 16);
+      Histogram batched(0, 1, 16);
+      for (const double other : {0.5, 0.05}) {
+        one_by_one.Add(other);
+        batched.Add(other);
+      }
+      for (uint64_t i = 0; i < n; ++i) one_by_one.Add(v);
+      batched.AddN(v, n);
+      const std::string label =
+          StrFormat("v=%g n=%llu", v, static_cast<unsigned long long>(n));
+      EXPECT_EQ(batched.count(), one_by_one.count()) << label;
+      EXPECT_NEAR(batched.mean(), one_by_one.mean(), 1e-12) << label;
+      EXPECT_EQ(batched.min(), one_by_one.min()) << label;
+      EXPECT_EQ(batched.max(), one_by_one.max()) << label;
+      for (const double p : {1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+        EXPECT_EQ(batched.ApproxPercentile(p), one_by_one.ApproxPercentile(p))
+            << label << " p" << p;
+      }
+      for (const double t : {-3.0, 0.0, 0.04, 0.2, 0.3, 0.5, 0.99, 1.0, 8.0}) {
+        EXPECT_EQ(batched.FractionAbove(t), one_by_one.FractionAbove(t))
+            << label << " above " << t;
+      }
+    }
+  }
+  Histogram h(0, 1, 4);
+  h.AddN(0.5, 0);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.FractionAbove(0.0), 0.0);
+}
+
+TEST(HistogramTest, FractionAboveHasBucketResolution) {
+  Histogram h(0, 1, 10);
+  h.AddN(0.05, 50);  // bucket [0, 0.1)
+  h.AddN(0.45, 30);  // bucket [0.4, 0.5)
+  h.AddN(3.0, 20);   // overflow, starts at 1
+  EXPECT_DOUBLE_EQ(h.FractionAbove(-1.0), 1.0);  // below min: exact
+  EXPECT_DOUBLE_EQ(h.FractionAbove(0.4), 0.5);   // at a bucket edge: exact
+  EXPECT_DOUBLE_EQ(h.FractionAbove(0.42), 0.2);  // inside a bucket: it drops out
+  EXPECT_DOUBLE_EQ(h.FractionAbove(1.0), 0.2);
+  EXPECT_DOUBLE_EQ(h.FractionAbove(2.0), 0.0);   // inside overflow: drops out
+  EXPECT_DOUBLE_EQ(h.FractionAbove(3.0), 0.0);   // at max: exact
 }
 
 TEST(RngTest, Deterministic) {
