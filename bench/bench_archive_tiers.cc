@@ -65,15 +65,16 @@ size_t UncompressedColumnarBytes(const ChunkColumns& cols) {
   return bytes;
 }
 
-// Sizes every archived type's events as one chunk in both layouts; v4 is
-// exactly what SpillTo writes.
+// Sizes every archived type's events as one chunk in both layouts; v4 (the
+// compressed event frame) is exactly what SpillTo writes.
 SpillSizes MeasureSpillSizes(const std::vector<EventArchive::TypeScan>& scans) {
   SpillSizes sizes;
   for (const auto& scan : scans) {
     sizes.events += scan.events.size();
+    const std::string frame = SerializeEvents(scan.events);
     sizes.v3 += UncompressedColumnarBytes(
-        CheckResult(ChunkColumns::FromRows(scan.events), "columns"));
-    sizes.v4 += SerializeEvents(scan.events).size();
+        CheckResult(DeserializeColumns(frame), "columns"));
+    sizes.v4 += frame.size();
   }
   return sizes;
 }

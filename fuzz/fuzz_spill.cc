@@ -1,35 +1,51 @@
-// libFuzzer harness for the spill deserializers' entry points: the v2 CRC row
-// payload, the v4 columnar dispatch, and the rejection of every other magic
-// — the bytes read back from archive spill files and WAL record payloads.
-// Both entry points must reject arbitrary corruption with a Status, never a
-// crash or an unbounded allocation.
+// libFuzzer harness for the event codec and the tier sidecar: the frame
+// header (group table, run sequence), the per-column decoders behind it
+// (delta-of-delta timestamps, Gorilla-style XOR doubles, RLE tags, varint
+// dictionaries), and the rejection of every other magic — the bytes read
+// back from spill and checkpoint files, WAL records and replication frames.
+// Arbitrary bytes must come back as a Status (Corruption/Truncated), never a
+// crash, hang, or unbounded allocation.
 //
 // Build: cmake -DEXSTREAM_BUILD_FUZZERS=ON with Clang; see fuzz/CMakeLists.txt.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
 #include "archive/serialization.h"
+#include "archive/tiers.h"
 #include "common/crc32.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view buf(reinterpret_cast<const char*>(data), size);
   exstream::DeserializeEvents(buf).ok();
   exstream::DeserializeColumns(buf).ok();
+  // Match the sidecar's embedded event type so the expected-type guard does
+  // not reject the input before the per-tier block decoders run.
+  uint32_t tier_type = 0;
+  if (size >= 8) std::memcpy(&tier_type, data + 4, sizeof(tier_type));
+  exstream::DeserializeTiers(buf, tier_type).ok();
 
-  // Re-run the row parser on a v2 frame around the input: the first four
-  // input bytes become the event count and the checksum is patched in, so
-  // arbitrary payloads get past the CRC gate into the per-event parser.
-  if (size >= 4) {
-    const std::string_view payload = buf.substr(4);
-    const uint32_t crc = exstream::Crc32(payload);
-    std::string v2 = "\x32\x53\x58\x45";  // little-endian u32 0x45585332 ("EXS2")
-    v2.append(buf.substr(0, 4));
-    v2.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    v2.append(payload);
-    exstream::DeserializeEvents(v2).ok();
+  // Re-run the frame parser with a valid magic and a checksummed header
+  // block around the input, so inputs that lack them still reach the header
+  // validation and the per-column block decoders. Input layout: u32 row
+  // count, u16 header length, header bytes, group bodies.
+  if (size >= 6) {
+    uint16_t header_len = 0;
+    std::memcpy(&header_len, data + 4, sizeof(header_len));
+    const std::string_view rest = buf.substr(6);
+    const std::string_view header = rest.substr(0, header_len);
+    const uint32_t words[] = {0x45585335u,  // "EXS5"
+                              0, static_cast<uint32_t>(header.size()),
+                              exstream::Crc32(header)};
+    std::string frame(reinterpret_cast<const char*>(words), sizeof(words));
+    std::memcpy(frame.data() + 4, data, 4);  // row count
+    frame.append(header);
+    frame.append(rest.substr(header.size()));
+    exstream::DeserializeEvents(frame).ok();
+    exstream::DeserializeColumns(frame).ok();
   }
   return 0;
 }

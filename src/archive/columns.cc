@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/strings.h"
-
 namespace exstream {
 
 namespace {
@@ -38,10 +36,12 @@ ChunkColumns::ChunkColumns(EventTypeId type, const EventSchema* schema)
 uint32_t ChunkColumns::InternString(size_t col, const std::string& s) {
   if (dict_index_.size() < attrs_.size()) dict_index_.resize(attrs_.size());
   auto& index = dict_index_[col];
-  auto [it, inserted] =
-      index.emplace(s, static_cast<uint32_t>(attrs_[col].dict.size()));
-  if (inserted) attrs_[col].dict.push_back(s);
-  return it->second;
+  // Look up before inserting: emplace would build a key string every call.
+  if (const auto it = index.find(s); it != index.end()) return it->second;
+  const uint32_t id = static_cast<uint32_t>(attrs_[col].dict.size());
+  index.emplace(s, id);
+  attrs_[col].dict.push_back(s);
+  return id;
 }
 
 void ChunkColumns::AppendEvent(const Event& event) {
@@ -89,6 +89,19 @@ void ChunkColumns::Reserve(size_t n) {
     col.tags.reserve(n);
     col.nums.reserve(n);
   }
+}
+
+void ChunkColumns::Clear(EventTypeId type) {
+  type_ = type;
+  ts_.clear();
+  for (AttributeColumn& col : attrs_) {
+    col.tags.clear();
+    col.nums.clear();
+    col.ints.clear();
+    col.str_ids.clear();
+    col.dict.clear();
+  }
+  for (auto& index : dict_index_) index.clear();
 }
 
 void ChunkColumns::SealStorage() {
@@ -174,22 +187,6 @@ ChunkColumns ChunkColumns::Slice(size_t lo, size_t hi) const {
     dst.ints.assign(src.ints.begin() + int_lo, src.ints.begin() + int_hi);
     dst.str_ids.assign(src.str_ids.begin() + str_lo, src.str_ids.begin() + str_hi);
     dst.dict = src.dict;  // ids stay valid against the full dictionary
-  }
-  return out;
-}
-
-Result<ChunkColumns> ChunkColumns::FromRows(const std::vector<Event>& events) {
-  ChunkColumns out;
-  out.Reserve(events.size());
-  for (const Event& e : events) {
-    if (out.ts_.empty()) {
-      out.type_ = e.type;
-    } else if (e.type != out.type_) {
-      return Status::Corruption(
-          StrFormat("mixed event types %u and %u in columnar chunk load",
-                    out.type_, e.type));
-    }
-    out.AppendEvent(e);
   }
   return out;
 }

@@ -74,6 +74,10 @@ class ChunkColumns {
   /// Reserves row capacity across the ts and per-row column vectors.
   void Reserve(size_t n);
 
+  /// Drops every row and retypes the chunk, keeping the columns and their
+  /// capacity: SerializeEvents reuses one scratch set per thread.
+  void Clear(EventTypeId type);
+
   /// Drops append-only scaffolding (dictionary hash index) and shrinks the
   /// column vectors; called when the owning chunk seals.
   void SealStorage();
@@ -94,10 +98,6 @@ class ChunkColumns {
   /// chunk under the shard lock. The dictionary is copied whole (ids stay
   /// valid); dense vectors are trimmed to the range.
   ChunkColumns Slice(size_t lo, size_t hi) const;
-
-  /// Builds columns from a row vector (v1/v2 spill-file loads). All events
-  /// must share one type; mixed types mean the buffer was not a chunk spill.
-  static Result<ChunkColumns> FromRows(const std::vector<Event>& events);
 
   /// Serialization needs mutable access when rebuilding the struct.
   std::vector<Timestamp>* mutable_ts() { return &ts_; }

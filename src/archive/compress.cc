@@ -116,15 +116,28 @@ Result<uint64_t> BitReader::Read(int n) {
   return v;
 }
 
+namespace {
+
+// Wrap-around int64 arithmetic: deltas are exact mod 2^64, so extreme values
+// round-trip, and no input (or corrupt byte) can overflow a signed add.
+int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
+}
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+
+}  // namespace
+
 void EncodeTimestampsDoD(const std::vector<Timestamp>& ts, std::string* out) {
   if (ts.empty()) return;
   PutSignedVarint(out, ts[0]);
   if (ts.size() == 1) return;
-  int64_t prev_delta = ts[1] - ts[0];
+  int64_t prev_delta = WrapSub(ts[1], ts[0]);
   PutSignedVarint(out, prev_delta);
   for (size_t i = 2; i < ts.size(); ++i) {
-    const int64_t delta = ts[i] - ts[i - 1];
-    PutSignedVarint(out, delta - prev_delta);
+    const int64_t delta = WrapSub(ts[i], ts[i - 1]);
+    PutSignedVarint(out, WrapSub(delta, prev_delta));
     prev_delta = delta;
   }
 }
@@ -144,11 +157,11 @@ Status DecodeTimestampsDoD(std::string_view data, size_t n,
   out->push_back(first);
   if (n > 1) {
     EXSTREAM_ASSIGN_OR_RETURN(int64_t delta, r.GetSignedVarint());
-    out->push_back(out->back() + delta);
+    out->push_back(WrapAdd(out->back(), delta));
     for (size_t i = 2; i < n; ++i) {
       EXSTREAM_ASSIGN_OR_RETURN(const int64_t dod, r.GetSignedVarint());
-      delta += dod;
-      out->push_back(out->back() + delta);
+      delta = WrapAdd(delta, dod);
+      out->push_back(WrapAdd(out->back(), delta));
     }
   }
   if (!r.AtEnd()) {
@@ -326,7 +339,7 @@ Status DecodeDoubles(ByteReader* r, size_t n, std::vector<double>* out) {
       int64_t prev = 0;
       for (size_t i = 0; i < n; ++i) {
         EXSTREAM_ASSIGN_OR_RETURN(const int64_t delta, pr.GetSignedVarint());
-        prev += delta;
+        prev = WrapAdd(prev, delta);
         out->push_back(static_cast<double>(prev) / kPow10[pow]);
       }
       if (!pr.AtEnd()) {
@@ -388,11 +401,7 @@ Status DecodeTagsRle(ByteReader* r, size_t rows, std::vector<uint8_t>* out) {
 void EncodeInts(const int64_t* vals, size_t n, std::string* out) {
   int64_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
-    // Wrap-around subtraction: deltas are exact mod 2^64, so extreme values
-    // round-trip even when the true difference overflows int64.
-    const int64_t delta = static_cast<int64_t>(static_cast<uint64_t>(vals[i]) -
-                                               static_cast<uint64_t>(prev));
-    PutSignedVarint(out, delta);
+    PutSignedVarint(out, WrapSub(vals[i], prev));
     prev = vals[i];
   }
 }
@@ -403,8 +412,7 @@ Status DecodeInts(ByteReader* r, size_t n, std::vector<int64_t>* out) {
   int64_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
     EXSTREAM_ASSIGN_OR_RETURN(const int64_t delta, r->GetSignedVarint());
-    prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
-                                static_cast<uint64_t>(delta));
+    prev = WrapAdd(prev, delta);
     out->push_back(prev);
   }
   return Status::OK();

@@ -1,11 +1,11 @@
-// Column codecs for the v4 compressed spill format (and tier sidecars):
+// Column codecs for the event frame (archive/serialization.h) and tier sidecars:
 // zigzag varints, delta-of-delta timestamps, Gorilla-style XOR doubles with
 // an exact decimal/integer fallback, run-length tags, and varint id arrays.
 //
 // Every decoder is bounds-checked and total: truncated or corrupt input
 // yields Status::Truncated / Status::Corruption, never an out-of-bounds read
 // or an unbounded loop — these functions sit behind the spill-file CRC but
-// are also fuzzed directly (fuzz_spill_v4), so they must hold on arbitrary
+// are also fuzzed directly (fuzz_spill), so they must hold on arbitrary
 // bytes.
 
 #pragma once

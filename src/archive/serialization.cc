@@ -1,19 +1,14 @@
 #include "archive/serialization.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <thread>
-
-#include <unistd.h>
+#include <utility>
 
 #include "archive/compress.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
-#include "common/fault_injection.h"
 #include "common/strings.h"
 #include "io/file_util.h"
 
@@ -21,15 +16,7 @@ namespace exstream {
 
 namespace {
 
-constexpr uint32_t kMagicV1 = 0x45585331;  // "EXS1", retired
-constexpr uint32_t kMagicV2 = 0x45585332;  // "EXS2"
-constexpr uint32_t kMagicV3 = 0x45585333;  // "EXS3", retired
-constexpr uint32_t kMagicV4 = 0x45585334;  // "EXS4"
-
-// Smallest possible event record: i64 ts + u32 type + u16 value count.
-constexpr size_t kMinEventBytes = sizeof(int64_t) + sizeof(uint32_t) + sizeof(uint16_t);
-
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
+constexpr uint32_t kMagic = 0x45585335;  // "EXS5"
 
 template <typename T>
 void PutPod(std::string* out, T v) {
@@ -39,129 +26,14 @@ void PutPod(std::string* out, T v) {
 }
 
 // Names a magic the codec does not read, calling out the retired layouts.
-Status BadMagic(const char* what, uint32_t magic) {
-  const char* retired = magic == kMagicV1   ? " (retired EXS1 row layout)"
-                        : magic == kMagicV3 ? " (retired EXS3 columnar layout)"
-                                            : "";
+Status BadMagic(uint32_t magic) {
+  const char* retired = magic == 0x45585331   ? " (retired EXS1 row layout)"
+                        : magic == 0x45585332 ? " (retired EXS2 row layout)"
+                        : magic == 0x45585333 ? " (retired EXS3 columnar layout)"
+                        : magic == 0x45585334 ? " (retired EXS4 one-type columnar layout)"
+                                              : "";
   return Status::Corruption(
-      StrFormat("bad %s magic 0x%08x%s at offset 0", what, magic, retired));
-}
-
-// Parses the v2 per-event row payload. `r` is positioned at the first event
-// record.
-Result<std::vector<Event>> ParseEventPayload(BytesReader* r, uint32_t count) {
-  // A corrupt count must not drive a multi-GB reserve: every event occupies
-  // at least kMinEventBytes, so a count the remaining bytes cannot hold is
-  // corruption, detected before any allocation.
-  if (static_cast<uint64_t>(count) * kMinEventBytes > r->remaining()) {
-    return Status::Corruption(
-        StrFormat("header count %u needs at least %llu bytes but %zu remain at offset %zu",
-                  count, static_cast<unsigned long long>(count) * kMinEventBytes,
-                  r->remaining(), r->pos()));
-  }
-  std::vector<Event> events;
-  events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Event e;
-    EXSTREAM_ASSIGN_OR_RETURN(e.ts, r->Get<int64_t>());
-    EXSTREAM_ASSIGN_OR_RETURN(e.type, r->Get<uint32_t>());
-    EXSTREAM_ASSIGN_OR_RETURN(const uint16_t nvals, r->Get<uint16_t>());
-    e.values.reserve(nvals);
-    for (uint16_t j = 0; j < nvals; ++j) {
-      EXSTREAM_ASSIGN_OR_RETURN(const uint8_t tag, r->Get<uint8_t>());
-      switch (static_cast<ValueType>(tag)) {
-        case ValueType::kInt64: {
-          EXSTREAM_ASSIGN_OR_RETURN(const int64_t v, r->Get<int64_t>());
-          e.values.emplace_back(v);
-          break;
-        }
-        case ValueType::kDouble: {
-          EXSTREAM_ASSIGN_OR_RETURN(const double v, r->Get<double>());
-          e.values.emplace_back(v);
-          break;
-        }
-        case ValueType::kString: {
-          EXSTREAM_ASSIGN_OR_RETURN(const uint32_t len, r->Get<uint32_t>());
-          EXSTREAM_ASSIGN_OR_RETURN(const std::string_view s, r->GetView(len));
-          e.values.emplace_back(std::string(s));
-          break;
-        }
-        default:
-          return Status::Corruption(
-              StrFormat("bad value tag %u at offset %zu", tag, r->pos() - 1));
-      }
-    }
-    events.push_back(std::move(e));
-  }
-  if (!r->AtEnd()) {
-    return Status::Corruption(
-        StrFormat("%zu trailing bytes after %u events at offset %zu", r->remaining(),
-                  count, r->pos()));
-  }
-  return events;
-}
-
-template <typename T>
-inline void StorePod(char** p, T v) {
-  std::memcpy(*p, &v, sizeof(T));
-  *p += sizeof(T);
-}
-
-std::string SerializeRowPayload(const std::vector<Event>& events) {
-  // Row serialization is on the WAL's mixed-batch path, so the exact size is
-  // computed up front and the payload written with raw stores into one
-  // allocation — the incremental-append version spent most of its time in
-  // per-value append bookkeeping.
-  size_t size = 3 * sizeof(uint32_t);
-  for (const Event& e : events) {
-    size += sizeof(int64_t) + sizeof(uint32_t) + sizeof(uint16_t);
-    for (const Value& v : e.values) {
-      size += 1;
-      switch (v.type()) {
-        case ValueType::kInt64:
-        case ValueType::kDouble:
-          size += 8;
-          break;
-        case ValueType::kString:
-          size += sizeof(uint32_t) + v.AsString().size();
-          break;
-      }
-    }
-  }
-  std::string out;
-  out.resize(size);
-  char* p = out.data();
-  StorePod<uint32_t>(&p, kMagicV2);
-  StorePod<uint32_t>(&p, static_cast<uint32_t>(events.size()));
-  char* crc_pos = p;
-  StorePod<uint32_t>(&p, 0);  // checksum placeholder, patched below
-  const char* payload_pos = p;
-  for (const Event& e : events) {
-    StorePod<int64_t>(&p, e.ts);
-    StorePod<uint32_t>(&p, e.type);
-    StorePod<uint16_t>(&p, static_cast<uint16_t>(e.values.size()));
-    for (const Value& v : e.values) {
-      *p++ = static_cast<char>(v.type());
-      switch (v.type()) {
-        case ValueType::kInt64:
-          StorePod<int64_t>(&p, v.AsInt64());
-          break;
-        case ValueType::kDouble:
-          StorePod<double>(&p, v.AsDouble());
-          break;
-        case ValueType::kString: {
-          const std::string& s = v.AsString();
-          StorePod<uint32_t>(&p, static_cast<uint32_t>(s.size()));
-          std::memcpy(p, s.data(), s.size());
-          p += s.size();
-          break;
-        }
-      }
-    }
-  }
-  const uint32_t crc = Crc32(payload_pos, static_cast<size_t>(p - payload_pos));
-  std::memcpy(crc_pos, &crc, sizeof(crc));
-  return out;
+      StrFormat("bad event frame magic 0x%08x%s at offset 0", magic, retired));
 }
 
 // Appends one length-prefixed, CRC-protected block: u32 len, u32 crc, bytes.
@@ -184,7 +56,7 @@ Result<std::string_view> GetBlock(BytesReader* r, const char* what) {
   const uint32_t computed = Crc32(payload.data(), payload.size());
   if (computed != stored_crc) {
     return Status::Corruption(
-        StrFormat("%s column checksum mismatch: stored 0x%08x, computed 0x%08x "
+        StrFormat("%s checksum mismatch: stored 0x%08x, computed 0x%08x "
                   "over %u bytes",
                   what, stored_crc, computed, len));
   }
@@ -313,84 +185,176 @@ Status AnnotateWithPath(const Status& st, const std::string& path) {
   return Status(st.code(), path + ": " + st.message());
 }
 
-// Writes `data` to `path` atomically (temp file + fsync + rename), honoring
-// injected write faults. Shared by the events and columns file writers.
-Status WriteBufferFileAtomic(const std::string& path, std::string data) {
-  size_t write_bytes = data.size();
+// ---- Frame header ----------------------------------------------------------
 
-  if (auto fault =
-          FaultInjector::Global().Intercept(FaultOp::kWrite, "spill-write", path)) {
-    switch (fault->mode) {
-      case FaultMode::kFailOpen:
-      case FaultMode::kReset:
-        return Status::IOError("injected open failure writing " + path);
-      case FaultMode::kNoSpace:
-        return Status::IOError("injected ENOSPC writing " + path);
-      case FaultMode::kTruncate:
-        // Simulates a torn write that still reached the final name (e.g.
-        // post-rename media failure): only a prefix lands on disk.
-        write_bytes = std::min(write_bytes, fault->truncate_to);
-        break;
-      case FaultMode::kCorruptBytes: {
-        const size_t off = fault->corrupt_offset == SIZE_MAX
-                               ? data.size() / 2
-                               : std::min(fault->corrupt_offset, data.size() - 1);
-        if (!data.empty()) data[off] = static_cast<char>(data[off] ^ 0x5A);
-        break;
-      }
-      case FaultMode::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault->delay_ms));
-        break;
+// One column group: the rows of one event type, in row order. `rows` is not
+// stored; it is the total of the group's runs.
+struct GroupHeader {
+  EventTypeId type = kInvalidEventType;
+  uint32_t columns = 0;
+  size_t rows = 0;
+};
+
+// A run of consecutive rows of one group.
+struct Run {
+  uint32_t group = 0;
+  uint32_t length = 0;
+};
+
+struct Frame {
+  uint32_t rows = 0;
+  std::vector<GroupHeader> groups;
+  std::vector<Run> runs;
+  std::vector<ChunkColumns> columns;  // one per group
+};
+
+// Appends magic, row count and the CRC-protected header block.
+void PutFrameHeader(uint32_t rows, const std::vector<GroupHeader>& groups,
+                    const std::vector<Run>& runs, std::string* out) {
+  PutPod<uint32_t>(out, kMagic);
+  PutPod<uint32_t>(out, rows);
+  std::string block;
+  PutVarint(&block, groups.size());
+  for (const GroupHeader& g : groups) {
+    PutVarint(&block, g.type);
+    PutVarint(&block, g.columns);
+  }
+  PutVarint(&block, runs.size());
+  for (const Run& run : runs) {
+    PutVarint(&block, run.group);
+    PutVarint(&block, run.length);
+  }
+  PutBlock(out, block);
+}
+
+Result<uint32_t> GetU32Varint(ByteReader* r, const char* what) {
+  EXSTREAM_ASSIGN_OR_RETURN(const uint64_t v, r->GetVarint());
+  if (v > UINT32_MAX) {
+    return Status::Corruption(StrFormat("%s %llu overflows 32 bits", what,
+                                        static_cast<unsigned long long>(v)));
+  }
+  return static_cast<uint32_t>(v);
+}
+
+// Reads and validates everything before the group bodies into `f`, leaving
+// `r` at the first body. Every count is checked against the bytes that must
+// back it before anything is sized from it.
+Status ReadFrameHeader(BytesReader* r, Frame* f) {
+  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t magic, r->Get<uint32_t>());
+  if (magic != kMagic) return BadMagic(magic);
+  EXSTREAM_ASSIGN_OR_RETURN(f->rows, r->Get<uint32_t>());
+  EXSTREAM_ASSIGN_OR_RETURN(const std::string_view block, GetBlock(r, "header"));
+  // Each row costs at least one ts varint byte in its group's body.
+  if (f->rows > r->remaining()) {
+    return Status::Corruption(
+        StrFormat("header count %u needs at least %u bytes but %zu remain at offset %zu",
+                  f->rows, f->rows, r->remaining(), r->pos()));
+  }
+
+  // Counts only bound reserves by the header's size; a count larger than
+  // its entries runs off the header's end.
+  ByteReader hr(block);
+  EXSTREAM_ASSIGN_OR_RETURN(const uint64_t n_groups, hr.GetVarint());
+  f->groups.reserve(std::min<uint64_t>(n_groups, block.size()));
+  for (size_t g = 0; g < n_groups; ++g) {
+    GroupHeader group;
+    EXSTREAM_ASSIGN_OR_RETURN(group.type, GetU32Varint(&hr, "group type"));
+    EXSTREAM_ASSIGN_OR_RETURN(group.columns, GetU32Varint(&hr, "group columns"));
+    f->groups.push_back(group);
+  }
+  EXSTREAM_ASSIGN_OR_RETURN(const uint64_t n_runs, hr.GetVarint());
+  f->runs.reserve(std::min<uint64_t>(n_runs, block.size()));
+  uint64_t run_total = 0;
+  for (size_t i = 0; i < n_runs; ++i) {
+    Run run;
+    EXSTREAM_ASSIGN_OR_RETURN(run.group, GetU32Varint(&hr, "run group"));
+    EXSTREAM_ASSIGN_OR_RETURN(run.length, GetU32Varint(&hr, "run length"));
+    if (run.length == 0) return Status::Corruption(StrFormat("run %zu is empty", i));
+    if (run.group >= f->groups.size()) {
+      return Status::Corruption(StrFormat("run %zu names group %u of %zu", i, run.group,
+                                          f->groups.size()));
     }
+    if (i > 0 && run.group == f->runs.back().group) {
+      return Status::Corruption(
+          StrFormat("runs %zu and %zu both hold group %u", i - 1, i, run.group));
+    }
+    f->groups[run.group].rows += run.length;
+    run_total += run.length;
+    f->runs.push_back(run);
   }
-
-  const std::string tmp = path + ".tmp";
-  FILE* f = fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + tmp);
-  const size_t written = fwrite(data.data(), 1, write_bytes, f);
-  if (written != write_bytes) {
-    fclose(f);
-    remove(tmp.c_str());
-    return Status::IOError(StrFormat("short write to %s (%zu of %zu bytes)",
-                                     tmp.c_str(), written, write_bytes));
+  if (!hr.AtEnd()) {
+    return Status::Corruption(
+        StrFormat("%zu trailing bytes in the frame header", hr.remaining()));
   }
-  // Flush user-space buffers and force the data to the device before the
-  // rename publishes the file: a crash can lose the spill, never expose a
-  // half-written one under its final name.
-  if (fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    fclose(f);
-    remove(tmp.c_str());
-    return Status::IOError("cannot fsync " + tmp);
-  }
-  fclose(f);
-  if (rename(tmp.c_str(), path.c_str()) != 0) {
-    remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
+  // Every group's rows are part of this total, so they fit the row count too.
+  if (run_total != f->rows) {
+    return Status::Corruption(
+        StrFormat("runs hold %llu rows, header count is %u",
+                  static_cast<unsigned long long>(run_total), f->rows));
   }
   return Status::OK();
 }
 
-}  // namespace
+// Reads one group body (ts block, then one block per attribute column).
+Result<ChunkColumns> ReadGroup(BytesReader* r, const GroupHeader& group) {
+  ChunkColumns columns;
+  columns.set_type(group.type);
+  char what[48];
+  snprintf(what, sizeof(what), "type %u ts column", group.type);
+  EXSTREAM_ASSIGN_OR_RETURN(const std::string_view ts_block, GetBlock(r, what));
+  const Status st = DecodeTimestampsDoD(ts_block, group.rows, columns.mutable_ts());
+  if (!st.ok()) return Status(st.code(), std::string(what) + ": " + st.message());
 
-std::string SerializeColumns(const ChunkColumns& columns) {
-  std::string out;
-  PutPod<uint32_t>(&out, kMagicV4);
-  PutPod<uint32_t>(&out, static_cast<uint32_t>(columns.rows()));
-  PutPod<uint32_t>(&out, columns.type());
-  PutPod<uint16_t>(&out, static_cast<uint16_t>(columns.num_columns()));
+  // No reserve from the declared count: a corrupt one runs off the buffer.
+  for (uint32_t c = 0; c < group.columns; ++c) {
+    snprintf(what, sizeof(what), "type %u attr%u column", group.type, c);
+    EXSTREAM_ASSIGN_OR_RETURN(const std::string_view block, GetBlock(r, what));
+    EXSTREAM_ASSIGN_OR_RETURN(AttributeColumn col,
+                              ParseAttributeBlock(block, group.rows, c));
+    columns.mutable_attrs()->push_back(std::move(col));
+  }
+  return columns;
+}
 
+// Parses a whole frame; `one_type` rejects a multi-group frame before any
+// group body is decoded.
+Result<Frame> ReadFrame(std::string_view data, bool one_type) {
+  BytesReader r(data);
+  Frame f;
+  EXSTREAM_RETURN_NOT_OK(ReadFrameHeader(&r, &f));
+  if (one_type && f.groups.size() > 1) {
+    return Status::Corruption(
+        StrFormat("frame holds %zu runs over %zu column groups; columns hold one type",
+                  f.runs.size(), f.groups.size()));
+  }
+  f.columns.reserve(f.groups.size());
+  for (const GroupHeader& group : f.groups) {
+    EXSTREAM_ASSIGN_OR_RETURN(ChunkColumns columns, ReadGroup(&r, group));
+    f.columns.push_back(std::move(columns));
+  }
+  if (!r.AtEnd()) {
+    return Status::Corruption(StrFormat("%zu trailing bytes after %zu column groups",
+                                        r.remaining(), f.groups.size()));
+  }
+  return f;
+}
+
+// Appends one group body: the ts block, then the first `width` attribute
+// columns (any further columns hold only missing values).
+void PutGroupBody(const ChunkColumns& columns, size_t width, std::string* out) {
   std::string block;
   EncodeTimestampsDoD(columns.ts(), &block);
-  PutBlock(&out, block);
-
-  for (const AttributeColumn& col : columns.attrs()) {
+  PutBlock(out, block);
+  std::vector<double> dbls;
+  for (size_t c = 0; c < width; ++c) {
+    const AttributeColumn& col = columns.attr(c);
     block.clear();
-    PutU8(&block, static_cast<uint8_t>(col.declared));
+    block.push_back(static_cast<char>(col.declared));
     EncodeTagsRle(col.tags, &block);
     PutVarint(&block, col.ints.size());
     EncodeInts(col.ints.data(), col.ints.size(), &block);
     // Dense doubles: the double-tagged rows' numeric view, in row order.
-    std::vector<double> dbls;
+    dbls.clear();
     for (size_t i = 0; i < col.tags.size(); ++i) {
       if (col.tags[i] == static_cast<uint8_t>(ValueType::kDouble)) {
         dbls.push_back(col.nums[i]);
@@ -401,83 +365,93 @@ std::string SerializeColumns(const ChunkColumns& columns) {
     PutVarint(&block, col.str_ids.size());
     EncodeU32s(col.str_ids.data(), col.str_ids.size(), &block);
     PutVarint(&block, col.dict.size());
-    for (const std::string& s : col.dict) {
-      PutVarint(&block, s.size());
-      block.append(s);
+    for (const std::string& str : col.dict) {
+      PutVarint(&block, str.size());
+      block.append(str);
     }
-    PutBlock(&out, block);
+    PutBlock(out, block);
   }
+}
+
+}  // namespace
+
+std::string SerializeColumns(const ChunkColumns& columns) {
+  const uint32_t rows = static_cast<uint32_t>(columns.rows());
+  std::vector<Run> runs;
+  if (rows > 0) runs.push_back({0, rows});
+  // The group is written even for an empty chunk so its type survives.
+  std::string out;
+  PutFrameHeader(rows, {{columns.type(), static_cast<uint32_t>(columns.num_columns())}},
+                 runs, &out);
+  PutGroupBody(columns, columns.num_columns(), &out);
   return out;
 }
 
 Result<ChunkColumns> DeserializeColumns(std::string_view data) {
-  BytesReader r(data);
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t magic, r.Get<uint32_t>());
-  if (magic != kMagicV4) return BadMagic("columnar buffer", magic);
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t rows, r.Get<uint32_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t type, r.Get<uint32_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint16_t ncols, r.Get<uint16_t>());
-  // The ts column needs at least one delta-of-delta varint byte per row;
-  // reject an impossible row count before any allocation.
-  if (rows > r.remaining()) {
-    return Status::Corruption(StrFormat(
-        "row count %u needs at least %u bytes but %zu remain", rows, rows,
-        r.remaining()));
-  }
-
-  ChunkColumns columns;
-  columns.set_type(type);
-  EXSTREAM_ASSIGN_OR_RETURN(const std::string_view ts_block, GetBlock(&r, "ts"));
-  const Status st = DecodeTimestampsDoD(ts_block, rows, columns.mutable_ts());
-  if (!st.ok()) return Status(st.code(), "ts column: " + st.message());
-
-  columns.mutable_attrs()->reserve(ncols);
-  for (uint16_t c = 0; c < ncols; ++c) {
-    char what[32];
-    snprintf(what, sizeof(what), "attr%u", c);
-    EXSTREAM_ASSIGN_OR_RETURN(const std::string_view block, GetBlock(&r, what));
-    EXSTREAM_ASSIGN_OR_RETURN(AttributeColumn col, ParseAttributeBlock(block, rows, c));
-    columns.mutable_attrs()->push_back(std::move(col));
-  }
-  if (!r.AtEnd()) {
-    return Status::Corruption(StrFormat("%zu trailing bytes after %u columns",
-                                        r.remaining(), ncols));
-  }
-  return columns;
+  EXSTREAM_ASSIGN_OR_RETURN(Frame f, ReadFrame(data, /*one_type=*/true));
+  if (f.columns.empty()) return ChunkColumns();
+  return std::move(f.columns[0]);
 }
 
-std::string SerializeEvents(const std::vector<Event>& events) {
-  auto columns = ChunkColumns::FromRows(events);
-  if (columns.ok()) return SerializeColumns(*columns);
-  // Mixed-type rows cannot form a chunk; fall back to the self-describing
-  // v2 row layout.
-  return SerializeRowPayload(events);
+std::string SerializeEvents(std::span<const Event> events) {
+  // Per-thread scratch reused across calls (cleared, capacity kept), so the
+  // per-batch WAL and replication encodes allocate little beyond their output.
+  thread_local std::vector<GroupHeader> groups;
+  thread_local std::vector<Run> runs;
+  thread_local std::vector<ChunkColumns> columns;
+  groups.clear();
+  runs.clear();
+  // One pass finds the runs, and the groups in order of first appearance.
+  for (const Event& e : events) {
+    if (runs.empty() || groups[runs.back().group].type != e.type) {
+      uint32_t g = 0;
+      while (g < groups.size() && groups[g].type != e.type) ++g;
+      if (g == groups.size()) groups.push_back({e.type, 0});
+      runs.push_back({g, 0});
+    }
+    ++runs.back().length;
+    GroupHeader& group = groups[runs.back().group];
+    group.columns = std::max(group.columns, static_cast<uint32_t>(e.values.size()));
+  }
+
+  std::string out;
+  PutFrameHeader(static_cast<uint32_t>(events.size()), groups, runs, &out);
+  if (columns.size() < groups.size()) columns.resize(groups.size());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    ChunkColumns& cols = columns[g];
+    cols.Clear(groups[g].type);
+    size_t row = 0;
+    for (const Run& run : runs) {
+      if (run.group == g) {
+        for (size_t k = row; k < row + run.length; ++k) cols.AppendEvent(events[k]);
+      }
+      row += run.length;
+    }
+    PutGroupBody(cols, groups[g].columns, &out);
+  }
+  return out;
 }
 
 Result<std::vector<Event>> DeserializeEvents(std::string_view data) {
-  BytesReader r(data);
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t magic, r.Get<uint32_t>());
-  if (magic == kMagicV4) {
-    EXSTREAM_ASSIGN_OR_RETURN(const ChunkColumns columns, DeserializeColumns(data));
-    std::vector<Event> events;
-    columns.MaterializeRows(0, columns.rows(), &events);
-    return events;
+  EXSTREAM_ASSIGN_OR_RETURN(Frame f, ReadFrame(data, /*one_type=*/false));
+  // Materialize each group's rows, then deal them out in run order.
+  std::vector<std::vector<Event>> group_rows(f.groups.size());
+  for (size_t g = 0; g < f.groups.size(); ++g) {
+    f.columns[g].MaterializeRows(0, f.columns[g].rows(), &group_rows[g]);
   }
-  if (magic != kMagicV2) return BadMagic("event buffer", magic);
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t count, r.Get<uint32_t>());
-  EXSTREAM_ASSIGN_OR_RETURN(const uint32_t stored_crc, r.Get<uint32_t>());
-  const uint32_t computed = Crc32(data.data() + r.pos(), data.size() - r.pos());
-  if (computed != stored_crc) {
-    return Status::Corruption(
-        StrFormat("payload checksum mismatch: stored 0x%08x, computed 0x%08x "
-                  "over %zu bytes at offset %zu",
-                  stored_crc, computed, data.size() - r.pos(), r.pos()));
+  std::vector<size_t> next(f.groups.size(), 0);
+  std::vector<Event> events;
+  events.reserve(f.rows);
+  for (const Run& run : f.runs) {
+    std::vector<Event>& rows = group_rows[run.group];
+    size_t& i = next[run.group];
+    for (uint32_t k = 0; k < run.length; ++k) events.push_back(std::move(rows[i++]));
   }
-  return ParseEventPayload(&r, count);
+  return events;
 }
 
-Status WriteEventsFile(const std::string& path, const std::vector<Event>& events) {
-  return WriteBufferFileAtomic(path, SerializeEvents(events));
+Status WriteEventsFile(const std::string& path, std::span<const Event> events) {
+  return WriteFileAtomicNoDirSync(path, SerializeEvents(events), "spill-write");
 }
 
 Result<std::vector<Event>> ReadEventsFile(const std::string& path) {
@@ -488,8 +462,9 @@ Result<std::vector<Event>> ReadEventsFile(const std::string& path) {
 }
 
 Status WriteColumnsFile(const std::string& path, const ChunkColumns& columns) {
-  return WriteBufferFileAtomic(path, SerializeColumns(columns));
+  return WriteFileAtomicNoDirSync(path, SerializeColumns(columns), "spill-write");
 }
+
 Result<ChunkColumns> ReadColumnsFile(const std::string& path) {
   // Cold reads go through mmap: the decoder parses straight from the kernel
   // page cache instead of a heap copy of the whole file. The mapping lives

@@ -31,7 +31,7 @@ Result<uint32_t> GetPod32(ByteReader* r) {
   return v;
 }
 
-/// Same len+CRC32 frame the v3/v4 spill blocks use, so a flipped bit in a
+/// Same len+CRC32 framing the event frame's blocks use, so a flipped bit in a
 /// sidecar is detected before any decoder touches the payload.
 void PutBlock(std::string* out, const std::string& payload) {
   PutPod32(out, static_cast<uint32_t>(payload.size()));

@@ -1,6 +1,7 @@
 // BytesWriter / BytesReader: the little-endian POD + length-prefixed-string
-// codec shared by the WAL record framing, the checkpoint manifest, and the
-// spill codec's headers and v2 row payload (archive/serialization.cc).
+// codec shared by the checkpoint manifest, the replication frames, and the
+// event frame's fixed-width words and block framing
+// (archive/serialization.cc).
 // Truncated when the buffer ends early, no exceptions, no allocation on the
 // happy POD path.
 

@@ -102,12 +102,6 @@ class FaultInjector {
   std::optional<FaultPlan> Intercept(FaultOp op, std::string_view site,
                                      const std::string& path);
 
-  /// Back-compat overload for hook points predating the site registry;
-  /// equivalent to an anonymous site (only plans with an empty `site` match).
-  std::optional<FaultPlan> Intercept(FaultOp op, const std::string& path) {
-    return Intercept(op, std::string_view(), path);
-  }
-
   /// Every (site, op) pair that has passed through Intercept while armed, in
   /// first-seen order. Lets tests and docs enumerate the seams. (Disarmed
   /// operations skip registration so the production path stays a single

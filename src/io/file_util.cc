@@ -29,10 +29,10 @@ Status EnsureDir(const std::string& dir) {
       StrFormat("cannot create directory %s: %s", dir.c_str(), strerror(errno)));
 }
 
-Status WriteFileAtomic(const std::string& path, std::string data) {
+Status WriteFileAtomicNoDirSync(const std::string& path, std::string data,
+                                std::string_view site) {
   size_t write_bytes = data.size();
-  if (auto fault =
-          FaultInjector::Global().Intercept(FaultOp::kWrite, "file-write", path)) {
+  if (auto fault = FaultInjector::Global().Intercept(FaultOp::kWrite, site, path)) {
     switch (fault->mode) {
       case FaultMode::kFailOpen:
       case FaultMode::kReset:
@@ -40,6 +40,8 @@ Status WriteFileAtomic(const std::string& path, std::string data) {
       case FaultMode::kNoSpace:
         return Status::IOError("injected ENOSPC writing " + path);
       case FaultMode::kTruncate:
+        // Simulates a torn write that still reached the final name (e.g.
+        // post-rename media failure): only a prefix lands on disk.
         write_bytes = std::min(write_bytes, fault->truncate_to);
         break;
       case FaultMode::kCorruptBytes: {
@@ -65,6 +67,9 @@ Status WriteFileAtomic(const std::string& path, std::string data) {
     return Status::IOError(StrFormat("short write to %s (%zu of %zu bytes)",
                                      tmp.c_str(), written, write_bytes));
   }
+  // Flush user-space buffers and force the data to the device before the
+  // rename publishes the file: a crash can lose the file, never expose a
+  // half-written one under its final name.
   if (fflush(f) != 0 || fsync(fileno(f)) != 0) {
     fclose(f);
     remove(tmp.c_str());
@@ -75,6 +80,11 @@ Status WriteFileAtomic(const std::string& path, std::string data) {
     remove(tmp.c_str());
     return Status::IOError("cannot rename " + tmp + " to " + path);
   }
+  return Status::OK();
+}
+
+Status WriteFileAtomic(const std::string& path, std::string data) {
+  EXSTREAM_RETURN_NOT_OK(WriteFileAtomicNoDirSync(path, std::move(data), "file-write"));
   // The rename itself is only durable once the directory entry is on disk;
   // without this a post-rename crash can resurrect the old file, which would
   // break sync-then-ack consumers (the replication ledger ACKs only after

@@ -17,10 +17,17 @@ namespace exstream {
 /// exists as a directory.
 Status EnsureDir(const std::string& dir);
 
-/// \brief Writes `data` to `path` atomically: temp file + fsync + rename +
-/// SyncDir of the parent directory. Honors injected write faults (same
-/// contract as the spill writers: a kTruncate fault publishes only a prefix
-/// under the final name, simulating post-rename media loss).
+/// \brief Writes `data` to `path` atomically: temp file + fsync + rename.
+/// The directory entry is not synced; callers that claim durability sync the
+/// directory once for many files (EventArchive::CheckpointTo syncs spill_dir).
+/// Honors injected write faults at fault site `site` (op kWrite): a kTruncate
+/// fault publishes only a prefix under the final name, simulating
+/// post-rename media loss.
+Status WriteFileAtomicNoDirSync(const std::string& path, std::string data,
+                                std::string_view site);
+
+/// \brief WriteFileAtomicNoDirSync at fault site "file-write", then SyncDir
+/// of the parent directory.
 Status WriteFileAtomic(const std::string& path, std::string data);
 
 /// \brief Fsyncs directory `dir`, making the renames and creations inside it

@@ -20,7 +20,7 @@ namespace exstream {
 namespace {
 
 constexpr uint32_t kWalMagic = 0x4558574C;  // "EXWL"
-constexpr uint32_t kWalVersion = 1;
+constexpr uint32_t kWalVersion = 2;
 constexpr uint32_t kRecMagic = 0x57524543;  // "WREC"
 constexpr size_t kSegmentHeaderBytes =
     sizeof(uint32_t) + sizeof(uint32_t) + sizeof(uint64_t);
@@ -88,9 +88,11 @@ WalSegmentScanStats ScanWalSegmentBuffer(
     stats.torn_error = "bad segment magic";
     return stats;
   }
-  if (GetPodAt<uint32_t>(data, 4) != kWalVersion) {
+  if (const uint32_t version = GetPodAt<uint32_t>(data, 4); version != kWalVersion) {
     stats.torn = true;
-    stats.torn_error = "unsupported segment version";
+    stats.other_version = true;
+    stats.torn_error =
+        StrFormat("unsupported segment version %u (this build reads %u)", version, kWalVersion);
     return stats;
   }
   size_t pos = kSegmentHeaderBytes;
@@ -502,6 +504,12 @@ Result<WalReplayStats> WriteAheadLog::ReplayWithSeq(
           apply(apply_seq, std::move(batch));
         });
     ++stats.segments;
+    // A segment of another log version is no crash artifact: discarding it
+    // as a torn tail would silently drop every event it holds.
+    if (scan.other_version) {
+      return Status::Corruption(StrFormat("WAL segment %s: %s", segments[i].second.c_str(),
+                                          scan.torn_error.c_str()));
+    }
     if (scan.torn) {
       // A torn frame is the expected shape of a crash mid-append: the
       // incomplete record was never acknowledged, so discarding it is safe as

@@ -9,15 +9,17 @@
 //
 // On-disk layout (`<dir>/wal-<base_seq, zero-padded>.seg`):
 //
-//   segment header:  u32 magic "EXWL", u32 version (1), u64 base_seq
+//   segment header:  u32 magic "EXWL", u32 version (2), u64 base_seq
 //   record:          u32 magic "WREC", u64 first_seq, u32 event count,
 //                    u32 payload length, u32 CRC32(payload), payload
 //
-// The payload is SerializeEvents(batch) — the archive's own v4 compressed
-// columnar codec (with its v2 row fallback for mixed-type batches), so WAL
-// bytes and spill bytes share one deserializer. A torn final record (crash mid-append)
-// is detected by the frame bounds/CRC and tolerated; corruption before the
-// tail is reported as data loss.
+// The payload is SerializeEvents(batch) — the archive's own event frame: one
+// compressed column group per event type plus the run sequence that restores
+// the batch's interleaving — so WAL bytes and spill bytes share one
+// deserializer. A segment of another version (version 1 held row payloads)
+// fails replay as Corruption "unsupported segment version". A torn final
+// record (crash mid-append) is detected by the frame bounds/CRC and
+// tolerated; corruption before the tail is reported as data loss.
 //
 // Group-commit fsync policies trade durability for throughput:
 //   kNone       — rely on OS writeback (fastest; loses the page cache on
@@ -66,6 +68,8 @@ struct WalSegmentScanStats {
   size_t events = 0;
   bool torn = false;        ///< scan stopped at an incomplete/corrupt frame
   std::string torn_error;   ///< what stopped it (empty when !torn)
+  bool other_version = false;  ///< torn because the header names another
+                               ///< segment version (replay fails on it)
 };
 
 /// \brief Scans the records of one segment buffer (header included), calling

@@ -17,8 +17,8 @@
 //                              watermark: the first seq it has NOT durably
 //                              applied. The child trims its spool to this.
 //   child -> parent   CHUNK    a sealed replication chunk: chunk id, first
-//                              seq, event count, and a SerializeEvents v4
-//                              payload (the compressed archive spill codec,
+//                              seq, event count, and a SerializeEvents
+//                              payload (the archive's event frame,
 //                              verbatim).
 //   child -> parent   WALTAIL  the unsealed spool tail, same payload codec —
 //                              sent so a parent-side Explain can see events
@@ -51,7 +51,7 @@ namespace exstream {
 
 /// Bumped on incompatible wire changes; HELLO/HELLOACK carry it and a
 /// mismatch rejects the session (replication never half-speaks a version).
-inline constexpr uint32_t kReplProtocolVersion = 1;
+inline constexpr uint32_t kReplProtocolVersion = 2;
 
 inline constexpr uint32_t kReplFrameMagic = 0x50525845u;  // "EXRP" little-endian
 
@@ -138,8 +138,7 @@ struct ChunkFrame {
   uint64_t chunk_id = 0;
   uint64_t first_seq = 0;
   uint32_t event_count = 0;
-  /// SerializeEvents(events) — the compressed spill codec, reused verbatim
-  /// (v4 for single-type chunks, the v2 row layout for mixed ones).
+  /// SerializeEvents(events) — the archive's event frame, reused verbatim.
   std::string events;
 
   std::string Encode() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <utility>
 
 #include "archive/serialization.h"
@@ -78,10 +79,7 @@ void ReplicationSender::SealLocked() {
   chunk.chunk_id = next_chunk_id_++;
   chunk.first_seq = spool_first_seq_;
   chunk.count = static_cast<uint32_t>(n);
-  {
-    std::vector<Event> events(spool_.begin(), spool_.begin() + n);
-    chunk.payload = SerializeEvents(events);
-  }
+  chunk.payload = SerializeEvents(std::span(spool_).first(n));
   spool_.erase(spool_.begin(), spool_.begin() + n);
   spool_first_seq_ += n;
   tail_sent_seq_ = std::max(tail_sent_seq_, spool_first_seq_);

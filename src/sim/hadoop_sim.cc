@@ -352,7 +352,7 @@ Result<std::vector<std::pair<std::string, Timestamp>>> HadoopClusterSim::Run(
   // Metrics are *reported* at one-decimal precision, like the Ganglia gmond
   // feed the paper consumed — a collector never ships full 52-bit mantissas.
   // The AR model state stays full-precision; only the emitted sample is
-  // rounded, which also lets the v4 spill codec store these columns as
+  // rounded, which also lets the spill codec store these columns as
   // scaled-integer deltas instead of raw XOR residue.
   const auto report = [](double v) { return std::round(v * 10.0) / 10.0; };
   for (Timestamp t = 0; t <= horizon; t += config_.metric_period) {

@@ -1,13 +1,19 @@
 #include "archive/archive.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "archive/compress.h"
 #include "archive/serialization.h"
 #include "archive/tiers.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace exstream {
@@ -271,13 +277,15 @@ TEST(SerializationTest, ColumnsFileRoundTrips) {
   EXPECT_EQ(rows[7].values[2].AsString(), "odd");
 }
 
-// The codec reads v4 columns and v2 rows only; a buffer in a retired layout
-// (EXS1 rows without a checksum, EXS3 uncompressed columns) is rejected, and
-// the error names the magic.
+// The codec reads one frame layout; a buffer in a retired layout (EXS1 rows
+// without a checksum, EXS2 CRC rows, EXS3 uncompressed columns, EXS4
+// single-type columns) is rejected, and the error names the magic.
 TEST(SerializationTest, RetiredFormatsAreRejected) {
   for (const auto& [magic, name] :
        {std::pair<uint32_t, const char*>{0x45585331u, "EXS1"},
-        std::pair<uint32_t, const char*>{0x45585333u, "EXS3"}}) {
+        std::pair<uint32_t, const char*>{0x45585332u, "EXS2"},
+        std::pair<uint32_t, const char*>{0x45585333u, "EXS3"},
+        std::pair<uint32_t, const char*>{0x45585334u, "EXS4"}}) {
     SCOPED_TRACE(name);
     std::string data(64, '\0');
     std::memcpy(data.data(), &magic, sizeof(magic));
@@ -289,19 +297,207 @@ TEST(SerializationTest, RetiredFormatsAreRejected) {
   }
 }
 
-TEST(SerializationTest, MixedTypeBuffersFallBackToRows) {
+TEST(SerializationTest, MixedTypeBuffersRoundTripAsGroups) {
   std::vector<Event> mixed;
   mixed.emplace_back(0, 1, std::vector<Value>{Value(1.0)});
   mixed.emplace_back(1, 2, std::vector<Value>{Value(int64_t{7})});
-  // Columnar chunks are single-type by construction, so a mixed-type buffer
-  // is written in the v2 row layout; rows still round-trip.
+  // A mixed-type buffer is one column group per type plus the runs that
+  // restore the interleaving.
   const std::string data = SerializeEvents(mixed);
   auto parsed = DeserializeEvents(data);
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->size(), 2u);
   EXPECT_EQ((*parsed)[1].type, 1u);
-  // A row buffer is not a chunk's columns.
-  EXPECT_TRUE(DeserializeColumns(data).status().IsCorruption());
+  // Columns hold one type, so a multi-run frame is not a chunk.
+  const Status st = DeserializeColumns(data).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("one type"), std::string::npos) << st.ToString();
+}
+
+// Bit-exact event equality: doubles compare by their bits (NaN, -0.0).
+void ExpectSameEvents(const std::vector<Event>& got, const std::vector<Event>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].type, want[i].type);
+    EXPECT_EQ(got[i].ts, want[i].ts);
+    ASSERT_EQ(got[i].values.size(), want[i].values.size());
+    for (size_t j = 0; j < want[i].values.size(); ++j) {
+      const Value& g = got[i].values[j];
+      const Value& w = want[i].values[j];
+      ASSERT_EQ(g.type(), w.type());
+      switch (w.type()) {
+        case ValueType::kInt64:
+          EXPECT_EQ(g.AsInt64(), w.AsInt64());
+          break;
+        case ValueType::kDouble: {
+          const double gd = g.AsDouble();
+          const double wd = w.AsDouble();
+          EXPECT_EQ(std::memcmp(&gd, &wd, sizeof(double)), 0) << gd << " vs " << wd;
+          break;
+        }
+        case ValueType::kString:
+          EXPECT_EQ(g.AsString(), w.AsString());
+          break;
+      }
+    }
+  }
+}
+
+Value RandomValue(Rng& rng) {
+  static const double kDoubles[] = {
+      0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(), 1e300, 0.1, 42.25};
+  static const int64_t kInts[] = {0, -1, 1, std::numeric_limits<int64_t>::min(),
+                                  std::numeric_limits<int64_t>::max()};
+  switch (rng.UniformInt(0, 5)) {
+    case 0:
+      return Value(kDoubles[rng.UniformInt(0, 8)]);
+    case 1:
+      return Value(rng.Gaussian(50.0, 20.0));
+    case 2:
+      return Value(std::round(rng.Uniform(0, 1000)) / 100.0);  // Ganglia-style
+    case 3:
+      return Value(kInts[rng.UniformInt(0, 4)]);
+    case 4:
+      return Value(rng.UniformInt(-1000000, 1000000));
+    default:
+      return Value(std::string(static_cast<size_t>(rng.UniformInt(0, 3)),
+                               static_cast<char>('a' + rng.UniformInt(0, 2))));
+  }
+}
+
+// Property: every batch round-trips bit-exactly through one frame — runs of
+// one, a single type, empty batches, events missing trailing values, every
+// value kind, NaN and signed zeros, non-monotone and extreme ts within a type.
+TEST(SerializationTest, RandomBatchesRoundTripBitExactly) {
+  const EventTypeId kTypes[] = {0, 1, 2, 7, 1000, 0xFFFFFFFEu};
+  size_t runs_of_one = 0, single_type = 0, empty = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // A uniform index in [lo, hi].
+    auto pick = [&rng](size_t lo, size_t hi) {
+      return static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(lo), static_cast<int64_t>(hi)));
+    };
+    const size_t shape = pick(0, 3);  // 0: one type, 1: runs of one, else random
+    const size_t n = seed % 25 == 0 ? 0 : pick(1, 300);
+    const size_t n_types = shape == 0 ? 1 : pick(2, 6);
+    std::vector<size_t> width(n_types);
+    for (size_t& w : width) w = pick(0, 5);
+    std::vector<Event> batch;
+    size_t t = pick(0, n_types - 1);
+    for (size_t i = 0; i < n; ++i) {
+      if (shape == 1) {
+        t = (t + pick(1, n_types - 1)) % n_types;
+      } else if (shape >= 2 && pick(0, 3) == 0) {
+        t = pick(0, n_types - 1);
+      }
+      Event e;
+      e.type = kTypes[t];
+      e.ts = pick(0, 15) == 0 ? (pick(0, 1) ? std::numeric_limits<int64_t>::max()
+                                            : std::numeric_limits<int64_t>::min())
+                              : rng.UniformInt(-(int64_t{1} << 40), int64_t{1} << 40);
+      const size_t nvals = pick(0, width[t]);
+      for (size_t j = 0; j < nvals; ++j) e.values.push_back(RandomValue(rng));
+      batch.push_back(std::move(e));
+    }
+    empty += batch.empty();
+    single_type += shape == 0 && !batch.empty();
+    runs_of_one += shape == 1 && batch.size() > 1;
+
+    const std::string data = SerializeEvents(batch);
+    auto parsed = DeserializeEvents(data);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExpectSameEvents(*parsed, batch);
+    // A single-type frame also reads as columns, and a chunk's frame
+    // (SerializeColumns) reads back as the same rows.
+    if (shape == 0) {
+      auto cols = DeserializeColumns(data);
+      ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+      std::vector<Event> rows;
+      cols->MaterializeRows(0, cols->rows(), &rows);
+      ExpectSameEvents(rows, batch);
+      auto reread = DeserializeEvents(SerializeColumns(*cols));
+      ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+      ExpectSameEvents(*reread, batch);
+    }
+  }
+  EXPECT_GT(runs_of_one, 0u);
+  EXPECT_GT(single_type, 0u);
+  EXPECT_GT(empty, 0u);
+}
+
+// Hand-built frames: magic, row count, header block, then `body`.
+struct FrameGroup {
+  uint32_t type;
+  uint32_t columns;
+};
+struct FrameRun {
+  uint32_t group;
+  uint32_t length;
+};
+std::string BuildFrame(uint32_t rows, const std::vector<FrameGroup>& groups,
+                       const std::vector<FrameRun>& runs, std::string_view body) {
+  std::string header;
+  PutVarint(&header, groups.size());
+  for (const FrameGroup& g : groups) {
+    PutVarint(&header, g.type);
+    PutVarint(&header, g.columns);
+  }
+  PutVarint(&header, runs.size());
+  for (const FrameRun& r : runs) {
+    PutVarint(&header, r.group);
+    PutVarint(&header, r.length);
+  }
+  std::string out;
+  const uint32_t words[] = {0x45585335u, rows, static_cast<uint32_t>(header.size()),
+                            Crc32(header.data(), header.size())};
+  out.append(reinterpret_cast<const char*>(words), sizeof(words));
+  out.append(header);
+  out.append(body);
+  return out;
+}
+
+TEST(SerializationTest, MalformedFramesAreCorruption) {
+  // Two types in runs of two: type 0 rows, then type 1 rows.
+  std::vector<Event> events;
+  events.emplace_back(0, 1, std::vector<Value>{Value(1.5)});
+  events.emplace_back(0, 2, std::vector<Value>{Value(2.5)});
+  events.emplace_back(1, 3, std::vector<Value>{Value(int64_t{3})});
+  events.emplace_back(1, 4, std::vector<Value>{Value(int64_t{4})});
+  const std::string data = SerializeEvents(events);
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, data.data() + 8, sizeof(header_len));
+  const std::string_view body = std::string_view(data).substr(16 + header_len);
+  const std::vector<FrameGroup> groups = {{0, 1}, {1, 1}};
+  ASSERT_EQ(BuildFrame(4, groups, {{0, 2}, {1, 2}}, body), data);
+
+  const struct {
+    const char* name;
+    std::string frame;
+    const char* message;
+  } cases[] = {
+      {"bad run sum", BuildFrame(4, groups, {{0, 2}, {1, 1}}, body), "runs hold 3 rows"},
+      {"zero-length run", BuildFrame(4, groups, {{0, 0}, {0, 2}, {1, 2}}, body),
+       "run 0 is empty"},
+      {"repeated run group", BuildFrame(4, groups, {{0, 1}, {0, 1}, {1, 2}}, body),
+       "both hold group 0"},
+      {"run with no group", BuildFrame(4, {{0, 1}}, {{0, 2}, {1, 2}}, body),
+       "run 1 names group 1 of 1"},
+      // The runs give group 0 one row; its ts block holds two.
+      {"group rows differ from its body", BuildFrame(4, groups, {{0, 1}, {1, 3}}, body),
+       "type 0 ts column"},
+      {"trailing bytes", data + "zz", "2 trailing bytes"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Status st = DeserializeEvents(c.frame).status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.message().find(c.message), std::string::npos) << st.ToString();
+  }
 }
 
 TEST(SerializationTest, V4CompressesBelowRawColumns) {

@@ -216,7 +216,8 @@ TEST(SystemStressTest, BatchedIngestWhileExplanationInFlight) {
     EventBatch batch;
     batch.reserve(100);
     for (int i = 0; i < 50; ++i) {
-      batch.emplace_back(cpu, ++ts,
+      ++ts;
+      batch.emplace_back(cpu, ts,
                          MakeValues(int64_t{i % 3}, 50.0, 50.0, 1.0,
                                     static_cast<double>(ts)));
       batch.emplace_back(mem, ++ts,

@@ -1,4 +1,4 @@
-// Resilience tests: spill format v2 checksums, the error-code taxonomy
+// Resilience tests: event frame checksums, the error-code taxonomy
 // (truncation vs corruption), every FaultInjector mode exercised against the
 // archive's retry / quarantine / degraded-scan machinery, and the directory
 // sync that makes spilled chunks durable at checkpoint time.
@@ -34,15 +34,15 @@ std::vector<Event> MakeEvents(size_t n) {
   return events;
 }
 
-// Alternating event types: mixed-type batches are what the v2 row layout
-// carries (single-type ones serialize as v4 columns).
+// Alternating event types: a mixed-type batch, the WAL and replication
+// shape — one frame holding two column groups and eight runs per 8 rows.
 std::vector<Event> MakeMixedEvents(size_t n) {
   std::vector<Event> events = MakeEvents(n);
   for (size_t i = 1; i < n; i += 2) events[i].type = 1;
   return events;
 }
 
-TEST(SpillCodecTest, V2RoundTrip) {
+TEST(SpillCodecTest, MixedFrameRoundTrip) {
   const std::vector<Event> events = MakeMixedEvents(64);
   const std::string data = SerializeEvents(events);
   auto parsed = DeserializeEvents(data);
@@ -53,35 +53,55 @@ TEST(SpillCodecTest, V2RoundTrip) {
 }
 
 TEST(SpillCodecTest, ChecksumCatchesBitFlip) {
-  std::string data = SerializeEvents(MakeMixedEvents(8));
-  data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x01);
-  const Status st = DeserializeEvents(data).status();
+  const std::string data = SerializeEvents(MakeMixedEvents(8));
+  // A bit flipped in the second group's last column block is pinned to it...
+  std::string bad_column = data;
+  bad_column.back() = static_cast<char>(bad_column.back() ^ 0x01);
+  Status st = DeserializeEvents(bad_column).status();
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_NE(st.message().find("checksum"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("type 1 attr0 column"), std::string::npos)
+      << st.ToString();
+  // ...and one in the run sequence fails the header block's checksum.
+  std::string bad_header = data;
+  const size_t header_payload = 4 * sizeof(uint32_t);  // magic, rows, len, crc
+  bad_header[header_payload + 1] =
+      static_cast<char>(bad_header[header_payload + 1] ^ 0x01);
+  st = DeserializeEvents(bad_header).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("header checksum"), std::string::npos) << st.ToString();
 }
 
 TEST(SpillCodecTest, TruncationHasItsOwnCode) {
-  // A v4 buffer cut mid-block reads as Truncated, with the byte offset.
-  const std::string v4 = SerializeEvents(MakeEvents(8));
+  // A single-type frame cut mid-block reads as Truncated, with the byte offset.
+  const std::string one = SerializeEvents(MakeEvents(8));
   const Status cut_payload =
-      DeserializeEvents(std::string_view(v4).substr(0, v4.size() - 3)).status();
+      DeserializeEvents(std::string_view(one).substr(0, one.size() - 3)).status();
   EXPECT_TRUE(cut_payload.IsTruncated()) << cut_payload.ToString();
   EXPECT_NE(cut_payload.message().find("offset"), std::string::npos);
 
-  // A v2 buffer cut mid-header is Truncated too...
-  const std::string v2 = SerializeEvents(MakeMixedEvents(8));
-  EXPECT_TRUE(DeserializeEvents(std::string_view(v2).substr(0, 10))
+  // A mixed frame cut mid-header or inside its second group is Truncated too...
+  const std::string mixed = SerializeEvents(MakeMixedEvents(8));
+  EXPECT_TRUE(DeserializeEvents(std::string_view(mixed).substr(0, 10))
                   .status()
                   .IsTruncated());
-  // ...but a v2 buffer cut mid-payload fails its checksum first: Corruption.
-  EXPECT_TRUE(DeserializeEvents(std::string_view(v2).substr(0, v2.size() - 3))
+  EXPECT_TRUE(DeserializeEvents(std::string_view(mixed).substr(0, mixed.size() - 3))
                   .status()
-                  .IsCorruption());
+                  .IsTruncated());
+  // ...but one cut right after its header block has too few bytes left for
+  // its row count: Corruption, before any group is read.
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, mixed.data() + 2 * sizeof(uint32_t), sizeof(header_len));
+  const size_t body = 4 * sizeof(uint32_t) + header_len;
+  const Status cut_header =
+      DeserializeEvents(std::string_view(mixed).substr(0, body)).status();
+  EXPECT_TRUE(cut_header.IsCorruption()) << cut_header.ToString();
+  EXPECT_NE(cut_header.message().find("header count"), std::string::npos);
 }
 
 TEST(SpillCodecTest, HugeHeaderCountRejectedBeforeAllocation) {
-  // The count lives outside the checksummed payload, so a patched count must
-  // be caught by the size bound, not the CRC — and without a giant reserve.
+  // The row count lives outside the checksummed blocks, so a patched count
+  // must be caught by the size bound, not a CRC — and without a giant reserve.
   std::string data = SerializeEvents(MakeMixedEvents(4));
   const uint32_t huge = 0x7FFFFFFF;
   std::memcpy(&data[4], &huge, sizeof(huge));
@@ -160,7 +180,7 @@ std::string FindChunk0Spill(const std::string& dir) {
 }
 
 TEST_F(FaultArchiveTest, V4CorruptedCompressedBlockQuarantinesNamingColumn) {
-  // Default spill format: v4 compressed columnar. A bit flip inside a
+  // Spill files hold compressed column blocks. A bit flip inside a
   // compressed column payload must fail that block's CRC — naming the column
   // — and quarantine the chunk, never crash or feed garbage to the decoders.
   EventArchive archive(&registry_, SpillOptions());

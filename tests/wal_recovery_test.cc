@@ -486,6 +486,78 @@ TEST(WalRecoveryTest, FlusherSyncTruncateRace) {
   EXPECT_EQ((*wal)->next_seq(), seq);
 }
 
+// WAL records use the archive's columnar event frame: a Hadoop-simulator
+// stream logged in 256-event batches stays well under the ~71 B/event the
+// former row payload cost, and replays to the same events.
+TEST(WalRecoveryTest, HadoopBatchesLogCompactly) {
+  const Workload w = MakeHadoopWorkload();
+  const std::string wal_dir = MakeTempDir("wal");
+  WalOptions opts;
+  opts.dir = wal_dir;
+  opts.fsync = WalFsyncPolicy::kNone;
+  auto wal = WriteAheadLog::Open(std::move(opts));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  constexpr size_t kWalBatch = 256;
+  uint64_t seq = 0;
+  for (size_t i = 0; i < w.events.size(); i += kWalBatch) {
+    const size_t n = std::min(kWalBatch, w.events.size() - i);
+    ASSERT_TRUE(
+        (*wal)->Append(seq, EventBatch(w.events.begin() + i, w.events.begin() + i + n))
+            .ok());
+    seq += n;
+  }
+  ASSERT_TRUE((*wal)->Sync().ok());
+  const auto stats = (*wal)->stats();
+  ASSERT_EQ(stats.events_appended, w.events.size());
+  const double bytes_per_event =
+      static_cast<double>(stats.bytes_appended) / static_cast<double>(w.events.size());
+  EXPECT_LT(bytes_per_event, 25.0) << stats.bytes_appended << " bytes for "
+                                   << w.events.size() << " events";
+  wal->reset();
+
+  std::vector<Event> replayed;
+  auto replay = WriteAheadLog::ReplayWithSeq(
+      wal_dir, 0, [&](uint64_t, EventBatch batch) {
+        replayed.insert(replayed.end(), batch.begin(), batch.end());
+      });
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_EQ(replayed.size(), w.events.size());
+  for (size_t i = 0; i < replayed.size(); ++i) {
+    ASSERT_EQ(replayed[i].type, w.events[i].type) << i;
+    ASSERT_EQ(replayed[i].ts, w.events[i].ts) << i;
+    ASSERT_EQ(replayed[i].values, w.events[i].values) << i;
+  }
+}
+
+// A segment written by another log version (version 1 held row payloads)
+// fails replay by name instead of being discarded as a torn tail.
+TEST(WalRecoveryTest, OtherSegmentVersionFailsReplay) {
+  const Workload w = MakeHadoopWorkload();
+  const std::string wal_dir = MakeTempDir("wal");
+  {
+    WalOptions opts;
+    opts.dir = wal_dir;
+    opts.fsync = WalFsyncPolicy::kNone;
+    auto wal = WriteAheadLog::Open(std::move(opts));
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE(
+        (*wal)->Append(0, EventBatch(w.events.begin(), w.events.begin() + 64)).ok());
+  }
+  const std::string path = wal_dir + "/wal-00000000000000000000.seg";
+  auto data = ReadFileToString(path);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const uint32_t old_version = 1;
+  std::memcpy(data->data() + 4, &old_version, sizeof(old_version));
+  ASSERT_TRUE(WriteFileAtomic(path, *data).ok());
+  const auto replay =
+      WriteAheadLog::ReplayWithSeq(wal_dir, 0, [](uint64_t, EventBatch) {});
+  ASSERT_FALSE(replay.ok());
+  EXPECT_TRUE(replay.status().IsCorruption()) << replay.status().ToString();
+  EXPECT_NE(replay.status().message().find("unsupported segment version 1"),
+            std::string::npos)
+      << replay.status().ToString();
+}
+
 // Kill point: a crash *during* TruncateThrough while a replication pin holds
 // segments. The pin clamps truncation (segments at or past it are the only
 // copy a replication resume can serve from), deletion is oldest-first and
