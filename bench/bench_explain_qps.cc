@@ -54,8 +54,7 @@ double TimeBest(size_t reps, Fn&& fn) {
 }
 
 // Bitwise comparison of BOTH interval series of every ranked feature, plus
-// the final explanation. Unlike tiering (which legitimately changes
-// reference-side aggregates), the incremental path promises full identity.
+// the final explanation: the incremental path promises full identity.
 bool ReportsIdentical(const ExplanationReport& a, const ExplanationReport& b) {
   if (a.ranked.size() != b.ranked.size()) return false;
   if (a.explanation.ToString() != b.explanation.ToString()) return false;

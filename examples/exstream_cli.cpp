@@ -438,8 +438,6 @@ int Run(int argc, char** argv) {
             "       [--checkpoint DIR] [--recover DIR]\n"
             "       [--queue-capacity N]\n"
             "       [--backpressure block|shed-oldest|shed-newest]\n"
-            "       [--tier0-retention N] [--tier-windows W1,W2,...]\n"
-            "       [--tiered-reference on|off]\n"
             "       [--detect [--detect-threshold X]]\n"
             "       [--auto-explain [--z-threshold Z]]\n"
             "       [--explain-cache N] [--incremental-retention S]\n"
@@ -493,34 +491,6 @@ int Run(int argc, char** argv) {
   if (args.count("queue-capacity")) {
     config.overload.queue_capacity =
         static_cast<size_t>(strtoull(args["queue-capacity"].c_str(), nullptr, 10));
-  }
-  if (args.count("tier0-retention")) {
-    config.archive.tier0_retention_chunks = static_cast<size_t>(
-        strtoull(args["tier0-retention"].c_str(), nullptr, 10));
-  }
-  if (args.count("tier-windows")) {
-    config.archive.tier_windows.clear();
-    for (const std::string& w : SplitAndTrim(args["tier-windows"], ',')) {
-      const long long secs = strtoll(w.c_str(), nullptr, 10);
-      if (secs <= 0) {
-        fprintf(stderr, "--tier-windows expects positive seconds, got '%s'\n",
-                w.c_str());
-        return 2;
-      }
-      config.archive.tier_windows.push_back(static_cast<Timestamp>(secs));
-    }
-  }
-  if (args.count("tiered-reference")) {
-    const std::string& mode = args["tiered-reference"];
-    if (mode == "on") {
-      config.explain.tiered_reference_scans = true;
-    } else if (mode == "off") {
-      config.explain.tiered_reference_scans = false;
-    } else {
-      fprintf(stderr, "--tiered-reference expects on|off, got '%s'\n",
-              mode.c_str());
-      return 2;
-    }
   }
   if (args.count("backpressure")) {
     const std::string& policy = args["backpressure"];

@@ -1,8 +1,8 @@
-// libFuzzer harness for the event codec and the tier sidecar: the frame
-// header (group table, run sequence), the per-column decoders behind it
-// (delta-of-delta timestamps, Gorilla-style XOR doubles, RLE tags, varint
-// dictionaries), and the rejection of every other magic — the bytes read
-// back from spill and checkpoint files, WAL records and replication frames.
+// libFuzzer harness for the event codec: the frame header (group table, run
+// sequence), the per-column decoders behind it (delta-of-delta timestamps,
+// Gorilla-style XOR doubles, RLE tags, varint dictionaries), and the
+// rejection of every other magic — the bytes read back from spill and
+// checkpoint files, WAL records and replication frames.
 // Arbitrary bytes must come back as a Status (Corruption/Truncated), never a
 // crash, hang, or unbounded allocation.
 //
@@ -15,18 +15,12 @@
 #include <string_view>
 
 #include "archive/serialization.h"
-#include "archive/tiers.h"
 #include "common/crc32.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view buf(reinterpret_cast<const char*>(data), size);
   exstream::DeserializeEvents(buf).ok();
   exstream::DeserializeColumns(buf).ok();
-  // Match the sidecar's embedded event type so the expected-type guard does
-  // not reject the input before the per-tier block decoders run.
-  uint32_t tier_type = 0;
-  if (size >= 8) std::memcpy(&tier_type, data + 4, sizeof(tier_type));
-  exstream::DeserializeTiers(buf, tier_type).ok();
 
   // Re-run the frame parser with a valid magic and a checksummed header
   // block around the input, so inputs that lack them still reach the header

@@ -30,7 +30,7 @@ Checks, in order:
   4. Optionally, against a committed baseline JSON (--baseline): neither
      ratio may regress below --regression x its baseline value
      (default 0.5 — ratios on tiny smoke workloads are noisier than the
-     archive-tier byte counts, so the regression floor is looser).
+     archive codec byte counts, so the regression floor is looser).
 
 Usage:
   check_explain_qps.py BENCH_explain_qps.json
@@ -131,9 +131,8 @@ def main() -> None:
     )
     # The hard speedup floors describe the full workload; the smoke workload
     # is too small to amortize the tail path's per-call overhead, so smoke
-    # runs are held only to the baseline-regression quotient below (mirroring
-    # check_archive_tiers.py: full-mode wall-clock gates live in the bench
-    # binary itself).
+    # runs are held only to the baseline-regression quotient below (the
+    # full-mode wall-clock gates live in the bench binary itself).
     if not smoke:
         if cached < args.min_cached_speedup:
             failures.append(

@@ -85,10 +85,6 @@ Status EventArchive::AppendLocked(Shard* shard, const Event& event) {
   auto& list = shard->chunks;
   if (list.back()->full()) {
     list.back()->Seal();
-    // Tiers are built once, at seal time, from the still-resident columns;
-    // they stay resident for the chunk's lifetime (a few windows per chunk)
-    // and ride along to disk as a sidecar when the chunk spills.
-    list.back()->BuildTiers(options_.tier_windows);
     ++shard->resident_sealed;
     list.push_back(std::make_shared<Chunk>(event.type, options_.chunk_capacity,
                                            &registry_->schema(event.type)));
@@ -140,39 +136,12 @@ void EventArchive::MaybeSpillLocked(Shard* shard, EventTypeId type) {
     shard->spill_failures_in_a_row = 0;
     --shard->resident_sealed;
   }
-  EnforceTierRetentionLocked(shard);
-}
-
-void EventArchive::EnforceTierRetentionLocked(Shard* shard) {
-  if (options_.tier0_retention_chunks == 0) return;
-  // Oldest raw files go first (chunk lists are append-ordered). Only chunks
-  // whose tiers exist are eligible — dropping raw bytes with nothing coarser
-  // to fall back on would be plain data loss, not tiering.
-  std::vector<Chunk*> eligible;
-  for (const auto& chunk : shard->chunks) {
-    if (chunk->spilled() && !chunk->raw_evicted() && !chunk->quarantined() &&
-        chunk->tiers() != nullptr) {
-      eligible.push_back(chunk.get());
-    }
-  }
-  if (eligible.size() <= options_.tier0_retention_chunks) return;
-  const size_t to_evict = eligible.size() - options_.tier0_retention_chunks;
-  for (size_t i = 0; i < to_evict; ++i) {
-    const Status st = eligible[i]->EvictRaw();
-    if (st.ok()) {
-      tier0_evictions_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      EXSTREAM_LOG(Warn) << "tier-0 retention could not remove "
-                         << eligible[i]->spill_path() << ": " << st.ToString();
-    }
-  }
 }
 
 Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
                                            const TimeInterval& interval,
                                            DegradationReport* degradation,
-                                           const CancelToken* cancel,
-                                           Timestamp resolution) const {
+                                           const CancelToken* cancel) const {
   if (type >= shards_.size()) {
     return Status::InvalidArgument(StrFormat("event type %u not registered", type));
   }
@@ -185,10 +154,7 @@ Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
   // and possibly quarantined — outside the lock); the open tail chunk is the
   // one place events still mutate, so its in-range rows are column-copied
   // here (bounded by chunk_capacity). Chunks already quarantined are skipped
-  // up front and accounted as lost coverage. A sealed chunk with a tier whose
-  // window divides a nonzero `resolution` is answered from that tier — no
-  // disk read, no row folding; with resolution 0 (exact rows required) a
-  // raw-evicted chunk is reported as resolution-degraded, never approximated.
+  // up front and accounted as lost coverage.
   std::vector<ChunkSnapshot> snapshots;
   DegradationReport local;
   {
@@ -214,38 +180,12 @@ Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
         if (hi > lo) {
           snap.open_tail = std::make_shared<const ChunkColumns>(cols.Slice(lo, hi));
         }
+      } else if (auto resident = chunk->resident_columns()) {
+        snap.resident = std::move(resident);
       } else {
-        std::shared_ptr<const ChunkTiers> tiers =
-            resolution > 0 ? chunk->tiers() : nullptr;
-        const int tier_index =
-            tiers != nullptr ? SelectTier(*tiers, resolution) : -1;
-        if (tier_index >= 0) {
-          snap.tiers = std::move(tiers);
-          snap.tier_index = tier_index;
-        } else if (chunk->spilled() && chunk->raw_evicted()) {
-          // Raw rows are gone and no tier matches the request: surface the
-          // gap instead of silently answering at the wrong resolution.
-          DegradationReport::SkippedChunk sk;
-          sk.type = type;
-          sk.spill_path = chunk->spill_path();
-          sk.events_lost = chunk->size();
-          sk.reason = resolution > 0
-                          ? "raw rows evicted by tier-0 retention; no tier "
-                            "matches the requested resolution"
-                          : "raw rows evicted by tier-0 retention; exact rows "
-                            "required";
-          local.skipped.push_back(std::move(sk));
-          local.events_lost_estimate += chunk->size();
-          ++local.coverage[type].chunks_skipped;
-          ++local.resolution_degraded;
-          continue;
-        } else if (auto resident = chunk->resident_columns()) {
-          snap.resident = std::move(resident);
-        } else {
-          snap.spilled = chunk;
-        }
+        snap.spilled = chunk;
       }
-      if (snap.resident || snap.spilled || snap.open_tail || snap.tiers) {
+      if (snap.resident || snap.spilled || snap.open_tail) {
         snapshots.push_back(std::move(snap));
       }
     }
@@ -253,31 +193,19 @@ Result<ScanView> EventArchive::ScanColumns(EventTypeId type,
 
   // Phase 2 (lock-free): resolve each snapshot to a column segment. Spill-
   // file reads — disk I/O — happen here, where they cannot stall appends. An
-  // unreadable spill degrades the scan instead of failing it. `order` stamps
-  // each segment with its chunk position so tier and raw segments interleave
-  // in time order for the consumer.
+  // unreadable spill degrades the scan instead of failing it.
   ScanView view;
   view.segments.reserve(snapshots.size());
-  for (size_t order = 0; order < snapshots.size(); ++order) {
-    ChunkSnapshot& snap = snapshots[order];
-    if (snap.tiers != nullptr) {
-      const TierColumns& tier = (*snap.tiers)[snap.tier_index];
-      const auto [lo, hi] = tier.WindowRange(interval);
-      if (hi > lo) {
-        view.tier_segments.push_back(
-            {std::shared_ptr<const TierColumns>(snap.tiers, &tier), lo, hi,
-             order});
-        tier_segments_served_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (snap.spilled != nullptr) {
+  for (ChunkSnapshot& snap : snapshots) {
+    if (snap.spilled != nullptr) {
       if (options_.spill_read_hook_for_testing) options_.spill_read_hook_for_testing();
-      ReadSpillOrQuarantine(snap.spilled, interval, &view, &local, cancel, order);
+      ReadSpillOrQuarantine(snap.spilled, interval, &view, &local, cancel);
     } else if (snap.resident != nullptr) {
       const auto [lo, hi] = snap.resident->RowRange(interval);
-      if (hi > lo) view.segments.push_back({std::move(snap.resident), lo, hi, order});
+      if (hi > lo) view.segments.push_back({std::move(snap.resident), lo, hi});
     } else {
       const size_t rows = snap.open_tail->rows();
-      view.segments.push_back({std::move(snap.open_tail), 0, rows, order});
+      view.segments.push_back({std::move(snap.open_tail), 0, rows});
     }
   }
   if (local.degraded()) {
@@ -305,8 +233,7 @@ void EventArchive::ReadSpillOrQuarantine(const std::shared_ptr<Chunk>& chunk,
                                          const TimeInterval& interval,
                                          ScanView* view,
                                          DegradationReport* degradation,
-                                         const CancelToken* cancel,
-                                         size_t order) const {
+                                         const CancelToken* cancel) const {
   Result<ChunkColumns> columns = ChunkColumns{};
   size_t retries = 0;
   // IOError is transient (flaky device, momentary open failure) and worth the
@@ -324,7 +251,7 @@ void EventArchive::ReadSpillOrQuarantine(const std::shared_ptr<Chunk>& chunk,
   if (read.ok()) {
     auto loaded = std::make_shared<const ChunkColumns>(std::move(*columns));
     const auto [lo, hi] = loaded->RowRange(interval);
-    if (hi > lo) view->segments.push_back({std::move(loaded), lo, hi, order});
+    if (hi > lo) view->segments.push_back({std::move(loaded), lo, hi});
     return;
   }
   if (chunk->MarkQuarantined()) {
@@ -395,8 +322,9 @@ namespace {
 constexpr uint8_t kChunkOpen = 0;
 constexpr uint8_t kChunkResidentSealed = 1;
 constexpr uint8_t kChunkSpilled = 2;
-// Spilled chunk whose raw file was dropped by tier-0 retention: only the
-// index entry and the tier sidecar survive a restore.
+// Written by earlier archives for a spilled chunk whose raw file they had
+// deleted, keeping only downsampled aggregates in a sidecar. Its rows are
+// gone, so restore rejects it rather than serve the chunk with missing data.
 constexpr uint8_t kChunkEvicted = 3;
 
 /// Parses "chunk_<epoch>_<type>_<i>.col", yielding the epoch; false for
@@ -473,7 +401,7 @@ Result<uint64_t> EventArchive::CheckpointTo(const std::string& dir,
         e.max_ts = chunk->max_ts();
         e.quarantined = chunk->quarantined() ? 1 : 0;
         if (chunk->spilled()) {
-          e.kind = chunk->raw_evicted() ? kChunkEvicted : kChunkSpilled;
+          e.kind = kChunkSpilled;
           e.path = chunk->spill_path();
           any_spilled = true;
         } else if (chunk->sealed()) {
@@ -545,25 +473,10 @@ Status EventArchive::RestoreFrom(BytesReader* in) {
       EXSTREAM_ASSIGN_OR_RETURN(const uint8_t quarantined, in->Get<uint8_t>());
       EXSTREAM_ASSIGN_OR_RETURN(const std::string path, in->GetString());
       const EventTypeId type = static_cast<EventTypeId>(t);
-      if (kind == kChunkSpilled || kind == kChunkEvicted) {
-        auto chunk = Chunk::AdoptSpilled(type, options_.chunk_capacity, count,
-                                         min_ts, max_ts, path, quarantined != 0,
-                                         kind == kChunkEvicted);
-        if (quarantined == 0 && !options_.tier_windows.empty()) {
-          // Tiers come back from the sidecar (no fault-injection seam; a
-          // missing or damaged sidecar degrades resolution, never restore).
-          auto tiers = ReadTiersFile(TiersSidecarPath(path), type);
-          if (tiers.ok()) {
-            chunk->AdoptTiers(
-                std::make_shared<const ChunkTiers>(std::move(tiers).MoveValue()));
-          } else if (kind == kChunkEvicted) {
-            EXSTREAM_LOG(Warn)
-                << "restored raw-evicted chunk without its tier sidecar ("
-                << tiers.status().ToString()
-                << "): scans of it will report resolution degradation";
-          }
-        }
-        shard.chunks.push_back(std::move(chunk));
+      if (kind == kChunkSpilled) {
+        shard.chunks.push_back(Chunk::AdoptSpilled(type, options_.chunk_capacity,
+                                                   count, min_ts, max_ts, path,
+                                                   quarantined != 0));
       } else if (kind == kChunkOpen || kind == kChunkResidentSealed) {
         EXSTREAM_ASSIGN_OR_RETURN(ChunkColumns columns, ReadColumnsFile(path));
         if (columns.rows() != count) {
@@ -575,13 +488,12 @@ Status EventArchive::RestoreFrom(BytesReader* in) {
         shard.chunks.push_back(Chunk::AdoptResident(
             type, options_.chunk_capacity, &registry_->schema(type),
             std::move(columns), kind == kChunkResidentSealed));
-        if (kind == kChunkResidentSealed) {
-          // Resident sealed chunks rebuild their tiers from the restored
-          // columns — deterministic, so they match the pre-checkpoint tiers
-          // bit for bit.
-          shard.chunks.back()->BuildTiers(options_.tier_windows);
-          ++shard.resident_sealed;
-        }
+        if (kind == kChunkResidentSealed) ++shard.resident_sealed;
+      } else if (kind == kChunkEvicted) {
+        return Status::Corruption(StrFormat(
+            "checkpoint chunk kind 3 (raw rows evicted) for %s: the archive "
+            "reads exact rows only and this chunk's rows were deleted",
+            path.c_str()));
       } else {
         return Status::Corruption(
             StrFormat("bad chunk kind %u in checkpoint manifest", kind));

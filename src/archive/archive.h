@@ -34,17 +34,6 @@ struct ArchiveOptions {
   std::optional<std::string> spill_dir;
   /// Resident sealed-chunk budget per event type before spilling (FIFO).
   size_t max_resident_chunks = 64;
-  /// Downsampled-tier windows built per sealed chunk (ascending; empty
-  /// disables tiering). A resolution-aware scan whose resolution is a
-  /// multiple of a tier window is answered from that tier without touching
-  /// the raw rows (or the disk, for spilled chunks).
-  std::vector<Timestamp> tier_windows = {60, 3600};
-  /// Tier-0 (raw) retention: keep at most this many spilled chunks' raw
-  /// files per event type; older raw files are deleted, leaving the chunk's
-  /// aggregate tiers (and sidecar) to answer coarse scans. 0 = keep all raw
-  /// data forever. Raw files are only dropped for chunks that have tiers;
-  /// quarantined files are never touched (triage evidence).
-  size_t tier0_retention_chunks = 0;
   /// Backoff schedule for transient spill I/O errors (reads and writes).
   /// Corruption/truncation is permanent and never retried.
   RetryPolicy spill_retry;
@@ -100,20 +89,9 @@ class EventArchive : public EventSink {
   /// against a deadline must not sleep past it waiting on a flaky disk. An
   /// expired token stops further retry sleeps (the chunk quarantines as if
   /// the retries were exhausted); it does not abort reads already in flight.
-  ///
-  /// `resolution` declares the coarsest time granularity the caller can fold
-  /// (e.g. the gcd of its aggregation windows). 0 means exact rows are
-  /// required: the scan never substitutes tiers, and a chunk whose raw data
-  /// was evicted by tier-0 retention is reported as resolution-degraded in
-  /// `degradation` rather than silently approximated. With resolution > 0, a
-  /// sealed chunk carrying a tier whose window divides the resolution is
-  /// answered as a TierSegment (pre-aggregated, no disk read); chunks
-  /// without a suitable tier still contribute raw rows, and only an evicted
-  /// chunk with no suitable tier degrades the scan.
   Result<ScanView> ScanColumns(EventTypeId type, const TimeInterval& interval,
                                DegradationReport* degradation = nullptr,
-                               const CancelToken* cancel = nullptr,
-                               Timestamp resolution = 0) const;
+                               const CancelToken* cancel = nullptr) const;
 
   /// \brief All events of `type` with ts in the interval, in time order, as
   /// materialized rows. Row-materializing wrapper over ScanColumns: each event is
@@ -174,14 +152,6 @@ class EventArchive : public EventSink {
   size_t quarantine_evictions() const {
     return quarantine_evictions_.load(std::memory_order_relaxed);
   }
-  /// Raw spill files deleted by tier-0 retention (lifetime total).
-  size_t tier0_evictions() const {
-    return tier0_evictions_.load(std::memory_order_relaxed);
-  }
-  /// Chunks answered from a downsampled tier instead of raw rows.
-  size_t tier_segments_served() const {
-    return tier_segments_served_.load(std::memory_order_relaxed);
-  }
 
   /// \brief Checkpoint support: appends the archive's chunk index to `out`
   /// and writes every resident chunk's columns under `dir` (file per chunk).
@@ -206,7 +176,10 @@ class EventArchive : public EventSink {
                                             uint64_t keep_epoch);
 
   /// \brief Restores a CheckpointTo snapshot into a freshly constructed
-  /// archive (same registry, no events appended yet).
+  /// archive (same registry, no events appended yet). A manifest entry of
+  /// kind 3 (a spilled chunk whose raw file an older archive deleted, keeping
+  /// only downsampled aggregates) is rejected as Corruption: its rows cannot
+  /// be read back exactly.
   Status RestoreFrom(BytesReader* in);
 
   const EventTypeRegistry& registry() const { return *registry_; }
@@ -228,13 +201,11 @@ class EventArchive : public EventSink {
   };
 
   /// A scan's view of one overlapping chunk, captured under the shard lock.
-  /// Exactly one of resident / spilled / open_tail / tiers is populated.
+  /// Exactly one of resident / spilled / open_tail is populated.
   struct ChunkSnapshot {
     std::shared_ptr<const ChunkColumns> resident;  ///< sealed, in memory (pinned)
     std::shared_ptr<Chunk> spilled;  ///< sealed, on disk (read outside the lock)
     std::shared_ptr<const ChunkColumns> open_tail;  ///< open chunk: in-range rows, copied
-    std::shared_ptr<const ChunkTiers> tiers;  ///< sealed, answered from a tier
-    int tier_index = -1;                      ///< which tier of `tiers`
   };
 
   Status AppendLocked(Shard* shard, const Event& event);
@@ -242,17 +213,13 @@ class EventArchive : public EventSink {
   /// keeps the chunk resident, counts the failure, and arms a cooldown so a
   /// dead disk is not retried on every subsequent seal.
   void MaybeSpillLocked(Shard* shard, EventTypeId type);
-  /// Tier-0 retention: drops the oldest spilled chunks' raw files beyond
-  /// `tier0_retention_chunks`, keeping their tiers. Runs under the shard lock
-  /// after spill housekeeping.
-  void EnforceTierRetentionLocked(Shard* shard);
   /// Reads one spilled chunk's columns with retries; on terminal failure
   /// quarantines it and records the loss in `degradation`. Appends the
   /// in-range segment to `view` on success.
   void ReadSpillOrQuarantine(const std::shared_ptr<Chunk>& chunk,
                              const TimeInterval& interval, ScanView* view,
                              DegradationReport* degradation,
-                             const CancelToken* cancel, size_t order) const;
+                             const CancelToken* cancel) const;
 
   const EventTypeRegistry* registry_;  // not owned
   ArchiveOptions options_;
@@ -265,8 +232,6 @@ class EventArchive : public EventSink {
   std::atomic<size_t> spill_write_failures_{0};
   mutable std::atomic<size_t> degraded_scans_{0};
   mutable std::atomic<size_t> quarantine_evictions_{0};
-  std::atomic<size_t> tier0_evictions_{0};
-  mutable std::atomic<size_t> tier_segments_served_{0};
 };
 
 }  // namespace exstream

@@ -4,7 +4,6 @@
 
 #include "archive/serialization.h"
 #include "common/strings.h"
-#include "io/file_util.h"
 
 namespace exstream {
 
@@ -25,35 +24,15 @@ Status Chunk::Append(const Event& event) {
   return Status::OK();
 }
 
-void Chunk::BuildTiers(const std::vector<Timestamp>& windows) {
-  if (windows.empty() || count_ == 0 || spilled_) return;
-  auto tiers =
-      std::make_shared<ChunkTiers>(BuildChunkTiers(*columns_, windows));
-  if (!tiers->empty()) tiers_ = std::move(tiers);
-}
-
 Status Chunk::SpillTo(const std::string& path) {
   if (!sealed_) return Status::Internal("spill of unsealed chunk");
   if (spilled_) return Status::OK();
   EXSTREAM_RETURN_NOT_OK(WriteColumnsFile(path, *columns_));
-  if (tiers_ != nullptr) {
-    // Best-effort: a failed sidecar write costs nothing now (tiers stay
-    // resident) and restore rebuilds tiers from the spill file if the
-    // sidecar is missing.
-    (void)WriteTiersFile(TiersSidecarPath(path), *tiers_, type_);
-  }
   spill_path_ = path;
   spilled_ = true;
   // Swap in fresh empty columns instead of clearing: snapshots taken before
   // the spill keep their handle to the old (immutable) data.
   columns_ = std::make_shared<ChunkColumns>(type_, nullptr);
-  return Status::OK();
-}
-
-Status Chunk::EvictRaw() {
-  if (!spilled_ || raw_evicted_ || quarantined()) return Status::OK();
-  EXSTREAM_RETURN_NOT_OK(RemoveFileIfExists(spill_path_));
-  raw_evicted_ = true;
   return Status::OK();
 }
 
@@ -74,14 +53,13 @@ std::shared_ptr<Chunk> Chunk::AdoptResident(EventTypeId type, size_t capacity,
 std::shared_ptr<Chunk> Chunk::AdoptSpilled(EventTypeId type, size_t capacity,
                                            size_t count, Timestamp min_ts,
                                            Timestamp max_ts, std::string spill_path,
-                                           bool quarantined, bool raw_evicted) {
+                                           bool quarantined) {
   auto chunk = std::make_shared<Chunk>(type, capacity, nullptr);
   chunk->count_ = count;
   chunk->min_ts_ = min_ts;
   chunk->max_ts_ = max_ts;
   chunk->sealed_ = true;
   chunk->spilled_ = true;
-  chunk->raw_evicted_ = raw_evicted;
   chunk->spill_path_ = std::move(spill_path);
   chunk->quarantined_.store(quarantined, std::memory_order_release);
   return chunk;

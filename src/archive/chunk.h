@@ -7,10 +7,8 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "archive/columns.h"
-#include "archive/tiers.h"
 #include "common/result.h"
 #include "event/event.h"
 
@@ -47,10 +45,6 @@ class Chunk {
   bool full() const { return count_ >= capacity_; }
   bool quarantined() const { return quarantined_.load(std::memory_order_acquire); }
 
-  /// True once tier-0 retention dropped the raw spill file. The chunk's index
-  /// entry, tiers, and sidecar survive; only exact-row reads are gone.
-  bool raw_evicted() const { return raw_evicted_; }
-
   Timestamp min_ts() const { return min_ts_; }
   Timestamp max_ts() const { return max_ts_; }
 
@@ -69,29 +63,9 @@ class Chunk {
     columns_->SealStorage();
   }
 
-  /// \brief Builds the chunk's downsampled tiers from its resident columns
-  /// (one tier per positive window). Requires sealed, not yet spilled.
-  /// Deterministic, so a restored chunk rebuilds identical tiers.
-  void BuildTiers(const std::vector<Timestamp>& windows);
-
-  /// Checkpoint restore: attaches tiers loaded from a sidecar.
-  void AdoptTiers(std::shared_ptr<const ChunkTiers> tiers) {
-    if (tiers != nullptr && !tiers->empty()) tiers_ = std::move(tiers);
-  }
-
-  /// The chunk's downsampled tiers (ascending window); null when none were
-  /// built. Immutable once published, shareable with scan views.
-  std::shared_ptr<const ChunkTiers> tiers() const { return tiers_; }
-
   /// Writes the columns to `path` and drops the in-memory copy. Requires
-  /// sealed. Also writes the tier sidecar (`path.tiers`, best-effort — tiers
-  /// stay resident regardless, and restore can rebuild them from the spill).
+  /// sealed.
   Status SpillTo(const std::string& path);
-
-  /// \brief Tier-0 retention: deletes the raw spill file, keeping the index
-  /// entry, tiers, and sidecar. Requires spilled; quarantined chunks are left
-  /// alone (their renamed file is triage evidence). Idempotent.
-  Status EvictRaw();
 
   /// \brief Marks the chunk's spill file unreadable and retires it: the file
   /// is renamed to `<path>.quarantine` (preserved for offline triage) and
@@ -124,25 +98,21 @@ class Chunk {
                                               ChunkColumns columns, bool sealed);
 
   /// \brief Checkpoint restore: rebuilds the index entry of a chunk whose
-  /// data lives in its (already durable) spill file. `raw_evicted` restores a
-  /// chunk whose raw file was dropped by tier-0 retention (tiers only).
+  /// data lives in its (already durable) spill file.
   static std::shared_ptr<Chunk> AdoptSpilled(EventTypeId type, size_t capacity,
                                              size_t count, Timestamp min_ts,
                                              Timestamp max_ts, std::string spill_path,
-                                             bool quarantined,
-                                             bool raw_evicted = false);
+                                             bool quarantined);
 
  private:
   EventTypeId type_;
   size_t capacity_;
   std::shared_ptr<ChunkColumns> columns_;
-  std::shared_ptr<const ChunkTiers> tiers_;
   size_t count_ = 0;
   Timestamp min_ts_ = 0;
   Timestamp max_ts_ = 0;
   bool sealed_ = false;
   bool spilled_ = false;
-  bool raw_evicted_ = false;
   std::atomic<bool> quarantined_{false};
   std::string spill_path_;
 };

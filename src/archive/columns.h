@@ -114,8 +114,6 @@ class ChunkColumns {
   std::vector<std::unordered_map<std::string, uint32_t>> dict_index_;
 };
 
-struct TierColumns;  // archive/tiers.h
-
 /// \brief Zero-copy result of a columnar archive scan.
 ///
 /// A view is a list of segments, each pinning one chunk's immutable columns
@@ -126,48 +124,25 @@ struct TierColumns;  // archive/tiers.h
 /// lock). Segments are in chunk order, so concatenating them yields the same
 /// time-ordered rows the row-materializing EventArchive::Scan returns.
 ///
-/// A resolution-aware scan (EventArchive::ScanColumns with resolution > 0)
-/// may answer a sealed chunk from a downsampled tier instead of raw rows: the
-/// chunk then contributes a TierSegment (pre-aggregated windows, no disk
-/// read) rather than a raw Segment. The two segment lists interleave in chunk
-/// order via the `order` field, so a consumer folding both sees windows and
-/// rows in global time order.
-///
 /// Lifetime: a segment's columns stay valid (and immutable) for as long as
 /// the view is alive, even if the archive spills or seals the chunk
 /// meanwhile — the shared_ptr pins the snapshot, exactly like the row
-/// snapshot handles before it. A TierSegment's pointer aliases the chunk's
-/// immutable ChunkTiers the same way.
+/// snapshot handles before it.
 struct ScanView {
   struct Segment {
     std::shared_ptr<const ChunkColumns> columns;
     size_t begin = 0;  ///< first in-range row
     size_t end = 0;    ///< one past the last in-range row
-    size_t order = 0;  ///< chunk position among all segments of the view
-    size_t size() const { return end - begin; }
-  };
-
-  /// One chunk answered from a downsampled tier (archive/tiers.h).
-  struct TierSegment {
-    std::shared_ptr<const TierColumns> tier;  ///< aliases the chunk's tiers
-    size_t begin = 0;  ///< first in-range window
-    size_t end = 0;    ///< one past the last in-range window
-    size_t order = 0;  ///< chunk position among all segments of the view
     size_t size() const { return end - begin; }
   };
 
   std::vector<Segment> segments;
-  std::vector<TierSegment> tier_segments;
 
-  /// Total in-range raw rows across all raw segments (tier windows are not
-  /// rows and do not count).
+  /// Total in-range rows across all segments.
   size_t rows() const;
-  bool empty() const { return rows() == 0 && tier_segments.empty(); }
+  bool empty() const { return rows() == 0; }
 
-  /// Materializes every in-range raw row, in order — EventArchive::Scan's
-  /// output.
-  /// Tier segments cannot be materialized as events and must be empty when a
-  /// caller needs exact rows (scans with resolution 0 never produce them).
+  /// Materializes every in-range row, in order — EventArchive::Scan's output.
   void MaterializeEvents(std::vector<Event>* out) const;
 };
 

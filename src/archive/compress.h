@@ -1,4 +1,4 @@
-// Column codecs for the event frame (archive/serialization.h) and tier sidecars:
+// Column codecs for the event frame (archive/serialization.h):
 // zigzag varints, delta-of-delta timestamps, Gorilla-style XOR doubles with
 // an exact decimal/integer fallback, run-length tags, and varint id arrays.
 //

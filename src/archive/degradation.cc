@@ -14,7 +14,6 @@ void DegradationReport::Merge(const DegradationReport& other) {
   }
   events_shed += other.events_shed;
   events_rejected += other.events_rejected;
-  resolution_degraded += other.resolution_degraded;
 }
 
 std::string DegradationReport::ToString() const {
@@ -26,10 +25,6 @@ std::string DegradationReport::ToString() const {
     out += StrFormat("; type %u coverage %.2f", type, cov.fraction());
   }
   if (events_shed > 0) out += StrFormat("; %zu events shed at ingest", events_shed);
-  if (resolution_degraded > 0) {
-    out += StrFormat("; %zu chunk%s resolution-degraded (raw tier evicted)",
-                     resolution_degraded, resolution_degraded == 1 ? "" : "s");
-  }
   if (events_rejected > 0) {
     out += StrFormat("; %zu malformed events rejected", events_rejected);
   }

@@ -50,16 +50,7 @@ struct DegradationReport {
   /// Informational: rejects are invalid data, so they do not by themselves
   /// mark the analysis degraded.
   size_t events_rejected = 0;
-  /// Chunks whose raw (tier-0) rows were evicted by retention and could not
-  /// serve the scan at its requested resolution: an exact-row scan, or a
-  /// resolution with no aligned tier. Such chunks are also listed in
-  /// `skipped` — a scan never silently substitutes coarse aggregates where
-  /// exact rows were asked for.
-  size_t resolution_degraded = 0;
-
-  bool degraded() const {
-    return !skipped.empty() || events_shed > 0 || resolution_degraded > 0;
-  }
+  bool degraded() const { return !skipped.empty() || events_shed > 0; }
   size_t chunks_skipped() const { return skipped.size(); }
 
   /// Folds another report (e.g. a second interval's scan) into this one.

@@ -1,8 +1,8 @@
 // Binary codec for Value and Event over BytesWriter/BytesReader — the
 // building block for checkpoint manifests (NFA bound events, match-table
-// cells). The spill-file row layout in archive/serialization.cc is a separate,
-// versioned on-disk format; this one is only ever embedded inside another
-// CRC-framed container.
+// cells). Archived, logged and replicated event buffers use the separate
+// columnar event frame (`EXS5`, archive/serialization.h); this row codec is
+// only ever embedded inside another CRC-framed container.
 
 #pragma once
 

@@ -50,8 +50,7 @@ Result<ExplanationReport> ExplanationEngine::Explain(
       report.ranked, ComputeFeatureRewards(builder_, specs_, annotation.abnormal.range,
                                            annotation.reference.range,
                                            options_.min_support, pool_.get(), cancel,
-                                           &report.degradation,
-                                           options_.tiered_reference_scans));
+                                           &report.degradation));
 
   // Step 1: reward-leap filtering.
   report.after_leap = RewardLeapFilter(report.ranked, options_.leap);
@@ -240,8 +239,7 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
   std::vector<std::vector<double>> abnormal_pool(survivor_specs.size());
   std::vector<std::vector<double>> reference_pool(survivor_specs.size());
   auto accumulate = [&](const std::vector<TimeInterval>& intervals,
-                        std::vector<std::vector<double>>* value_pool,
-                        bool allow_tiers) -> Status {
+                        std::vector<std::vector<double>>* value_pool) -> Status {
     // Materialize the survivor features of every labeled interval in
     // parallel, then merge in interval order so each feature's pooled value
     // sequence matches the serial run exactly. With a single interval the
@@ -250,14 +248,14 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
                                                            std::vector<Feature>{});
     if (intervals.size() == 1) {
       per_interval[0] = builder_.Build(survivor_specs, intervals[0], pool_.get(),
-                                       cancel, &report->degradation, allow_tiers);
+                                       cancel, &report->degradation);
     } else {
       // Each parallel Build gets a private degradation slot; merged in order
       // below so the report stays deterministic.
       std::vector<DegradationReport> per_degradation(intervals.size());
       ParallelFor(pool_.get(), intervals.size(), [&](size_t k) {
         per_interval[k] = builder_.Build(survivor_specs, intervals[k], nullptr,
-                                         cancel, &per_degradation[k], allow_tiers);
+                                         cancel, &per_degradation[k]);
       }, cancel);
       for (const DegradationReport& d : per_degradation) {
         report->degradation.Merge(d);
@@ -273,11 +271,8 @@ Status ExplanationEngine::RunValidation(const AnomalyAnnotation& annotation,
     }
     return Status::OK();
   };
-  // Abnormal pools always fold exact rows (the explanation's abnormal side
-  // must be bit-identical to raw); reference pools may take the tiered path.
-  EXSTREAM_RETURN_NOT_OK(accumulate(abnormal_intervals, &abnormal_pool, false));
-  EXSTREAM_RETURN_NOT_OK(accumulate(reference_intervals, &reference_pool,
-                                    options_.tiered_reference_scans));
+  EXSTREAM_RETURN_NOT_OK(accumulate(abnormal_intervals, &abnormal_pool));
+  EXSTREAM_RETURN_NOT_OK(accumulate(reference_intervals, &reference_pool));
   if (cancel != nullptr && cancel->Expired()) {
     return Status::DeadlineExceeded(StrFormat(
         "deadline exceeded while pooling labeled intervals (%zu abnormal, "

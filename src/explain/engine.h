@@ -65,15 +65,6 @@ struct ExplainOptions {
   /// Status::DeadlineExceeded whose message names the stage reached, and the
   /// worker pool is left idle and reusable.
   double deadline_ms = 0.0;
-  /// Let *reference-side* feature scans (the reference interval of the
-  /// reward ranking and Step 2's reference-labeled pools) be answered from
-  /// the archive's downsampled tiers when a tier window divides the feature
-  /// windows — wide reference intervals then skip spill reads and per-row
-  /// folding entirely. Abnormal-interval scans always read exact rows, so
-  /// the explanation's abnormal-side features stay bit-identical; reference
-  /// aggregates switch to absolute-aligned windows (a resolution the caller
-  /// opted into, not a degradation). Off by default.
-  bool tiered_reference_scans = false;
 };
 
 /// \brief Step-2 detail for one feature (paper Fig. 12).
@@ -118,8 +109,8 @@ class ExplanationEngine {
   /// \param series_provider monitored-series accessor; may be empty (Step 2
   ///        is skipped entirely)
   /// \param recent incremental recent-interval tails; when non-null,
-  ///        exact-resolution feature scans covered by the tails skip the
-  ///        archive (bit-identical rows; see features/incremental.h).
+  ///        feature scans covered by the tails skip the archive
+  ///        (bit-identical rows; see features/incremental.h).
   ExplanationEngine(const EventArchive* archive, const PartitionTable* partitions,
                     SeriesProvider series_provider, ExplainOptions options = {},
                     const IncrementalFeatureState* recent = nullptr);

@@ -55,7 +55,6 @@ uint64_t FingerprintExplainOptions(const ExplainOptions& o) {
   HashPod(&h, static_cast<uint64_t>(o.min_support));
   HashPod(&h, static_cast<uint8_t>(o.enable_validation));
   HashPod(&h, static_cast<uint8_t>(o.enable_clustering));
-  HashPod(&h, static_cast<uint8_t>(o.tiered_reference_scans));
   return h;
 }
 

@@ -6,11 +6,10 @@
 // query and column, both annotated intervals (query/partition/range), every
 // result-affecting ExplainOptions field, the data watermark (events applied
 // so far — new data invalidates), and the archive's degradation state
-// (quarantines, tier-0 evictions, shed/rejected counts — a degraded result
-// must never serve an exact request, and vice versa). Concurrent callers of
-// one key share a single computation (single-flight); errors propagate to
-// every waiter but are not cached, so a transient failure does not poison
-// the key.
+// (quarantines, shed/rejected counts — a degraded result must never serve an
+// exact request, and vice versa). Concurrent callers of one key share a
+// single computation (single-flight); errors propagate to every waiter but
+// are not cached, so a transient failure does not poison the key.
 
 #pragma once
 
@@ -32,7 +31,7 @@ namespace exstream {
 
 /// \brief Fingerprint of every ExplainOptions field that can change the
 /// explanation (feature space, leap/labeling/correlation knobs, validation
-/// and clustering toggles, scan-path selection, tiered-reference opt-in).
+/// and clustering toggles).
 /// num_threads and deadline_ms are deliberately excluded: results are
 /// bit-identical across thread counts, and a deadline changes only whether a
 /// result exists, not its value.
@@ -40,8 +39,8 @@ uint64_t FingerprintExplainOptions(const ExplainOptions& options);
 
 /// \brief Builds the canonical cache key bytes for one Explain request.
 /// `watermark` is the caller's data version; `degradation_state` folds the
-/// scan-health counters (quarantined chunks, tier-0 evictions, shed and
-/// rejected events) so resolution/degradation changes miss the cache.
+/// scan-health counters (quarantined chunks, shed and rejected events) so
+/// degradation changes miss the cache.
 std::string ExplainCacheKey(const AnomalyAnnotation& annotation,
                             uint32_t monitor_query, const std::string& column,
                             const ExplainOptions& options, uint64_t watermark,

@@ -41,12 +41,11 @@ Result<std::vector<RankedFeature>> ComputeFeatureRewards(
     const FeatureBuilder& builder, const std::vector<FeatureSpec>& specs,
     const TimeInterval& abnormal, const TimeInterval& reference,
     size_t min_support, ThreadPool* pool, const CancelToken* cancel,
-    DegradationReport* degradation, bool tiered_reference) {
+    DegradationReport* degradation) {
   EXSTREAM_ASSIGN_OR_RETURN(std::vector<Feature> fa,
                             builder.Build(specs, abnormal, pool, cancel, degradation));
   EXSTREAM_ASSIGN_OR_RETURN(std::vector<Feature> fr,
-                            builder.Build(specs, reference, pool, cancel, degradation,
-                                          tiered_reference));
+                            builder.Build(specs, reference, pool, cancel, degradation));
   std::vector<RankedFeature> ranked =
       RankFeatures(std::move(fa), std::move(fr), min_support, pool, cancel);
   if (cancel != nullptr && cancel->Expired()) {

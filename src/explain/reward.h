@@ -38,15 +38,11 @@ struct RankedFeature {
 ///        Status::DeadlineExceeded with the stage reached
 /// \param degradation when non-null, accumulates chunks the archive scans
 ///        had to skip (see EventArchive::Scan)
-/// \param tiered_reference when true, the reference-interval build may fold
-///        from archive tiers (FeatureBuilder::Build allow_tiers); the
-///        abnormal interval always reads exact rows
 Result<std::vector<RankedFeature>> ComputeFeatureRewards(
     const FeatureBuilder& builder, const std::vector<FeatureSpec>& specs,
     const TimeInterval& abnormal, const TimeInterval& reference,
     size_t min_support = 5, ThreadPool* pool = nullptr,
-    const CancelToken* cancel = nullptr, DegradationReport* degradation = nullptr,
-    bool tiered_reference = false);
+    const CancelToken* cancel = nullptr, DegradationReport* degradation = nullptr);
 
 /// \brief Reward computation on pre-built, aligned feature vectors. Takes the
 /// features by value and moves their series into the ranked output (pass

@@ -25,11 +25,10 @@ namespace exstream {
 /// materialization. The test-only reference oracle (tests/feature_oracle.h)
 /// folds materialized rows instead and must agree bit for bit.
 ///
-/// With `recent` set, exact-resolution scans are answered from the
-/// incremental in-memory tail when it covers the interval (archive scans
-/// remain the backfill for cold prefixes). Rows are byte-identical either
-/// way, so features — and the explanations built from them — do not change;
-/// tiered scans always go straight to the archive.
+/// With `recent` set, scans are answered from the incremental in-memory tail
+/// when it covers the interval (archive scans remain the backfill for cold
+/// prefixes). Rows are byte-identical either way, so features — and the
+/// explanations built from them — do not change.
 class FeatureBuilder {
  public:
   explicit FeatureBuilder(const EventArchive* archive,
@@ -51,25 +50,11 @@ class FeatureBuilder {
   /// stages; an expired token makes Build return Status::DeadlineExceeded
   /// with the stage reached. `degradation`, when non-null, accumulates what
   /// the underlying archive scans had to skip (quarantined chunks).
-  ///
-  /// `allow_tiers` lets scans be answered from the archive's downsampled
-  /// tiers: each event type's fixed-window aggregate specs share a scan that
-  /// declares the gcd of their windows as its resolution, and sealed chunks
-  /// carrying an aligned tier contribute pre-aggregated windows instead of
-  /// raw rows (no spill read, no row folding). Raw specs (and non-positive
-  /// windows) scan separately at exact resolution, so a feature space that
-  /// mixes raw and windowed features still tiers the windowed ones. Tiered
-  /// aggregation uses absolute-aligned windows, so results can differ from
-  /// the default series-anchored windows — callers opt in per scan (e.g.
-  /// reference-interval pools) and never for the abnormal interval, whose
-  /// explanation must be bit-identical to raw. A scan whose chunks carry no
-  /// aligned tier silently takes the exact path.
   Result<std::vector<Feature>> Build(const std::vector<FeatureSpec>& specs,
                                      const TimeInterval& interval,
                                      ThreadPool* pool = nullptr,
                                      const CancelToken* cancel = nullptr,
-                                     DegradationReport* degradation = nullptr,
-                                     bool allow_tiers = false) const;
+                                     DegradationReport* degradation = nullptr) const;
 
   /// \brief Materializes one spec over `interval`.
   Result<Feature> BuildOne(const FeatureSpec& spec, const TimeInterval& interval) const;

@@ -114,7 +114,7 @@ Result<ScanView> IncrementalFeatureState::ScanWithBackfill(
       if (hi > lo) {
         auto cols = std::make_shared<ChunkColumns>(tail->cols.Slice(lo, hi));
         const size_t n = cols->rows();
-        view.segments.push_back(ScanView::Segment{std::move(cols), 0, n, 0});
+        view.segments.push_back(ScanView::Segment{std::move(cols), 0, n});
       }
       full_hits_.fetch_add(1, std::memory_order_relaxed);
       return view;
@@ -134,18 +134,17 @@ Result<ScanView> IncrementalFeatureState::ScanWithBackfill(
       EXSTREAM_ASSIGN_OR_RETURN(
           ScanView view,
           archive.ScanColumns(type, TimeInterval{interval.lower, floor - 1},
-                              degradation, cancel, /*resolution=*/0));
+                              degradation, cancel));
       if (cols != nullptr) {
         const size_t n = cols->rows();
-        view.segments.push_back(
-            ScanView::Segment{std::move(cols), 0, n, view.segments.size()});
+        view.segments.push_back(ScanView::Segment{std::move(cols), 0, n});
       }
       partial_hits_.fetch_add(1, std::memory_order_relaxed);
       return view;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return archive.ScanColumns(type, interval, degradation, cancel, /*resolution=*/0);
+  return archive.ScanColumns(type, interval, degradation, cancel);
 }
 
 IncrementalFeatureState::Stats IncrementalFeatureState::stats() const {

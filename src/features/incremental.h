@@ -55,11 +55,10 @@ class IncrementalFeatureState {
   void Reset();
 
   /// \brief Serves `interval` for `type` from the tail when covered,
-  /// backfilling the cold prefix from `archive` otherwise. Exact rows only
-  /// (resolution 0); callers wanting tiered scans go straight to the archive.
+  /// backfilling the cold prefix from `archive` otherwise.
   ///
   /// The returned view's rows are byte-identical, in order, to
-  /// `archive.ScanColumns(type, interval, ..., 0)`: the tail holds the same
+  /// `archive.ScanColumns(type, interval, ...)`: the tail holds the same
   /// events in the same append order, and the cold scan covers strictly
   /// earlier timestamps than the tail segment appended after it.
   Result<ScanView> ScanWithBackfill(const EventArchive& archive, EventTypeId type,

@@ -44,13 +44,6 @@ void TimeSeries::AppendColumnRange(const Timestamp* ts, const double* vals,
   }
 }
 
-void TimeSeries::AppendAggregatedSpan(const Timestamp* ts, const double* vals,
-                                      size_t n) {
-  assert(n == 0 || times_.empty() || ts[0] >= times_.back());
-  times_.insert(times_.end(), ts, ts + n);
-  values_.insert(values_.end(), vals, vals + n);
-}
-
 double TimeSeries::Frequency() const {
   if (times_.size() < 2) return 0.0;
   const double span = static_cast<double>(times_.back() - times_.front());

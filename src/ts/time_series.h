@@ -42,12 +42,6 @@ class TimeSeries {
   void AppendColumnRange(const Timestamp* ts, const double* vals,
                          const uint8_t* tags, uint8_t skip_tag, size_t n);
 
-  /// \brief Appends `n` pre-aggregated samples (e.g. per-window aggregates
-  /// folded from archive tiers) as two bulk inserts — no per-sample checks.
-  /// Precondition: `ts` is non-decreasing with `ts[0] >= end_time()`, and
-  /// `vals` is NaN-free (window aggregates of finite samples are finite).
-  void AppendAggregatedSpan(const Timestamp* ts, const double* vals, size_t n);
-
   size_t size() const { return times_.size(); }
   bool empty() const { return times_.empty(); }
 

@@ -492,16 +492,15 @@ Result<ExplanationReport> XStreamSystem::Explain(const AnomalyAnnotation& annota
 }
 
 uint64_t XStreamSystem::DegradationStateFingerprint() const {
-  // Any change here must miss the cache: a scan after a quarantine or a
-  // tier-0 eviction can return different (degraded) data for the same
-  // interval, and shed/rejected counts are folded into every report.
+  // Any change here must miss the cache: a scan after a quarantine can
+  // return different (degraded) data for the same interval, and
+  // shed/rejected counts are folded into every report.
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
   mix(archive_.quarantined_chunks());
-  mix(archive_.tier0_evictions());
   mix(shed_events_.load());
   mix(guard_.report().total());
   return h;

@@ -12,9 +12,9 @@
 
 #include "archive/compress.h"
 #include "archive/serialization.h"
-#include "archive/tiers.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "io/file_util.h"
 
 namespace exstream {
 namespace {
@@ -539,163 +539,103 @@ TEST(SerializationTest, V4CorruptedColumnIsPinpointed) {
   EXPECT_NE(st.ToString().find("column"), std::string::npos) << st.ToString();
 }
 
-// ---- Storage tiers ---------------------------------------------------------
+// ---- Checkpoint restore ----------------------------------------------------
 
-class TierTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(registry_.Register(EventSchema("A", {{"x", ValueType::kDouble}})).ok());
-  }
-
-  Event MakeA(Timestamp ts, double x) { return Event(0, ts, {Value(x)}); }
-
-  EventTypeRegistry registry_;
-};
-
-TEST_F(TierTest, BuildSelectAndWindowRange) {
-  ChunkColumns cols(0, &registry_.schema(0));
-  for (Timestamp t = 0; t < 16; ++t) {
-    cols.AppendEvent(MakeA(t, static_cast<double>(t)));
-  }
-  const ChunkTiers tiers = BuildChunkTiers(cols, {4, 8});
-  ASSERT_EQ(tiers.size(), 2u);
-  EXPECT_EQ(tiers[0].window, 4);
-  EXPECT_EQ(tiers[1].window, 8);
-  // Rows 0..15 at window 4: ends 4, 8, 12, 16.
-  ASSERT_EQ(tiers[0].windows(), 4u);
-  EXPECT_EQ(tiers[0].ts.front(), 4);
-  EXPECT_EQ(tiers[0].ts.back(), 16);
-  ASSERT_EQ(tiers[0].attrs.size(), 1u);
-  EXPECT_EQ(tiers[0].attrs[0].count[0], 4u);
-  EXPECT_DOUBLE_EQ(tiers[0].attrs[0].sum[0], 0 + 1 + 2 + 3);
-  EXPECT_DOUBLE_EQ(tiers[0].attrs[0].min[0], 0.0);
-  EXPECT_DOUBLE_EQ(tiers[0].attrs[0].max[0], 3.0);
-  // Tier selection: the coarsest tier whose window divides the resolution.
-  EXPECT_EQ(SelectTier(tiers, 8), 1);
-  EXPECT_EQ(SelectTier(tiers, 4), 0);
-  EXPECT_EQ(SelectTier(tiers, 12), 0);  // 8 does not divide 12, 4 does
-  EXPECT_EQ(SelectTier(tiers, 6), -1);
-  EXPECT_EQ(SelectTier(tiers, 0), -1);
-  // Window range: [5, 9] intersects windows ending at 8 and 12.
-  const auto range = tiers[0].WindowRange({5, 9});
-  EXPECT_EQ(range.first, 1u);
-  EXPECT_EQ(range.second, 3u);
-}
-
-TEST_F(TierTest, SidecarRoundTripAndCorruptionDetected) {
-  ChunkColumns cols(0, &registry_.schema(0));
-  for (Timestamp t = 0; t < 64; ++t) {
-    cols.AppendEvent(MakeA(t * 3, t * 0.25));
-  }
-  const ChunkTiers tiers = BuildChunkTiers(cols, {10});
-  const std::string data = SerializeTiers(tiers, 0);
-  auto parsed = DeserializeTiers(data, 0);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), tiers.size());
-  EXPECT_EQ((*parsed)[0].ts, tiers[0].ts);
-  EXPECT_EQ((*parsed)[0].attrs[0].count, tiers[0].attrs[0].count);
-  EXPECT_EQ((*parsed)[0].attrs[0].sum, tiers[0].attrs[0].sum);
-  // Wrong event type: the sidecar is rejected, not silently adopted.
-  EXPECT_FALSE(DeserializeTiers(data, 9).ok());
-  // Bit flip in the tier block: CRC failure, not a crash.
-  std::string bad = data;
-  bad[bad.size() - 2] = static_cast<char>(bad[bad.size() - 2] ^ 0x10);
-  EXPECT_FALSE(DeserializeTiers(bad, 0).ok());
-  // File round trip.
-  char tmpl[] = "/tmp/exstream_tiers_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string path = TiersSidecarPath(std::string(tmpl) + "/c0.bin");
-  ASSERT_TRUE(WriteTiersFile(path, tiers, 0).ok());
-  auto loaded = ReadTiersFile(path, 0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)[0].ts, tiers[0].ts);
-}
-
-TEST_F(TierTest, ScanColumnsServesTiersAtResolution) {
+// Archive with every sealed chunk past the first spilled: 40 rows of type A
+// in chunks of 8, so chunks 0-3 are sealed and chunks 0-2 live on disk.
+ArchiveOptions SpillingOptions(const std::string& dir) {
   ArchiveOptions options;
   options.chunk_capacity = 8;
-  options.tier_windows = {4};
-  EventArchive archive(&registry_, options);
-  for (Timestamp t = 0; t < 40; ++t) {
-    ASSERT_TRUE(archive.Append(MakeA(t, static_cast<double>(t))).ok());
-  }
-  // Exact scan: raw rows only, no tier segments.
-  auto exact = archive.ScanColumns(0, {0, 39});
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(exact->rows(), 40u);
-  EXPECT_TRUE(exact->tier_segments.empty());
-  // Resolution 4: sealed chunks answer from their 4 s tier; only the open
-  // tail contributes raw rows.
-  auto tiered = archive.ScanColumns(0, {0, 39}, nullptr, nullptr, 4);
-  ASSERT_TRUE(tiered.ok());
-  EXPECT_FALSE(tiered->tier_segments.empty());
-  EXPECT_GT(archive.tier_segments_served(), 0u);
-  size_t tier_rows = 0;
-  double tier_sum = 0.0;
-  for (const auto& seg : tiered->tier_segments) {
-    for (size_t i = seg.begin; i < seg.end; ++i) {
-      tier_rows += seg.tier->attrs[0].count[i];
-      tier_sum += seg.tier->attrs[0].sum[i];
-    }
-  }
-  size_t raw_rows = tiered->rows();
-  double raw_sum = 0.0;
-  for (const auto& seg : tiered->segments) {
-    for (size_t i = seg.begin; i < seg.end; ++i) {
-      raw_sum += seg.columns->attr(0).nums[i];
-    }
-  }
-  // Tier aggregates plus the raw tail cover exactly the 40 appended rows.
-  EXPECT_EQ(tier_rows + raw_rows, 40u);
-  EXPECT_DOUBLE_EQ(tier_sum + raw_sum, 39.0 * 40.0 / 2.0);
-  // Resolution 6 matches no tier: identical to the exact scan.
-  auto mismatched = archive.ScanColumns(0, {0, 39}, nullptr, nullptr, 6);
-  ASSERT_TRUE(mismatched.ok());
-  EXPECT_TRUE(mismatched->tier_segments.empty());
-  EXPECT_EQ(mismatched->rows(), 40u);
-}
-
-TEST_F(TierTest, Tier0RetentionEvictsRawButKeepsTiers) {
-  char tmpl[] = "/tmp/exstream_tier0_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  ArchiveOptions options;
-  options.chunk_capacity = 8;
-  options.spill_dir = std::string(tmpl);
+  options.spill_dir = dir;
   options.max_resident_chunks = 1;
-  options.tier_windows = {4};
-  options.tier0_retention_chunks = 1;
-  EventArchive archive(&registry_, options);
-  for (Timestamp t = 0; t < 80; ++t) {
-    ASSERT_TRUE(archive.Append(MakeA(t, 1.0)).ok());
+  return options;
+}
+
+TEST_F(ArchiveTest, RestoreRejectsEvictedChunkKind) {
+  // Kind 3 marked a spilled chunk whose raw file an earlier archive deleted,
+  // keeping only downsampled aggregates. The archive reads exact rows only,
+  // so restore must refuse the entry rather than revive the chunk as empty
+  // or as an ordinary spilled one — even with the spill file still present.
+  char spill[] = "/tmp/exstream_kind3_spill_XXXXXX";
+  char ckpt[] = "/tmp/exstream_kind3_ckpt_XXXXXX";
+  ASSERT_NE(mkdtemp(spill), nullptr);
+  ASSERT_NE(mkdtemp(ckpt), nullptr);
+  EventArchive archive(&registry_, SpillingOptions(spill));
+  for (Timestamp t = 0; t < 40; ++t) {
+    ASSERT_TRUE(archive.Append(MakeA(t, t * 0.5)).ok());
   }
-  EXPECT_GT(archive.tier0_evictions(), 0u);
+  BytesWriter snapshot;
+  ASSERT_TRUE(archive.CheckpointTo(ckpt, &snapshot).ok());
 
-  // An exact scan refuses to silently substitute tier aggregates for the
-  // evicted raw rows: it degrades, names the loss, and returns what is left.
-  DegradationReport degradation;
-  auto exact = archive.Scan(0, {0, 79}, &degradation);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_LT(exact->size(), 80u);
-  EXPECT_TRUE(degradation.degraded());
-  EXPECT_GT(degradation.resolution_degraded, 0u);
-  EXPECT_GT(degradation.events_lost_estimate, 0u);
-  EXPECT_NE(degradation.ToString().find("resolution-degraded"),
-            std::string::npos);
+  // Manifest layout: u64 spill seq, u32 type count, then per type a u32
+  // chunk count and per chunk a u8 kind first. Byte 16 is the kind of type
+  // A's chunk 0, which is spilled (kind 2).
+  std::string bytes = snapshot.Take();
+  ASSERT_GT(bytes.size(), 16u);
+  ASSERT_EQ(bytes[16], 2);
+  bytes[16] = 3;
 
-  // A resolution-aligned scan is answered from the surviving tiers with no
-  // degradation: every appended row is still accounted for.
-  DegradationReport tiered_degradation;
-  auto tiered =
-      archive.ScanColumns(0, {0, 79}, &tiered_degradation, nullptr, 4);
-  ASSERT_TRUE(tiered.ok());
-  EXPECT_FALSE(tiered_degradation.degraded());
-  size_t covered = tiered->rows();
-  for (const auto& seg : tiered->tier_segments) {
-    for (size_t i = seg.begin; i < seg.end; ++i) {
-      covered += seg.tier->attrs[0].count[i];
+  EventArchive restored(&registry_, SpillingOptions(spill));
+  BytesReader reader(bytes);
+  const Status st = restored.RestoreFrom(&reader);
+  ASSERT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("kind 3"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.ToString().find("exact rows"), std::string::npos) << st.ToString();
+}
+
+TEST_F(ArchiveTest, RestoreIgnoresLeftoverTierSidecars) {
+  // Earlier archives wrote a `<spill>.tiers` aggregate sidecar beside every
+  // spilled chunk. A checkpoint taken then restores unchanged: the chunk is
+  // read back exactly from its spill file and the sidecar is left on disk
+  // untouched.
+  char spill[] = "/tmp/exstream_sidecar_spill_XXXXXX";
+  char ckpt[] = "/tmp/exstream_sidecar_ckpt_XXXXXX";
+  ASSERT_NE(mkdtemp(spill), nullptr);
+  ASSERT_NE(mkdtemp(ckpt), nullptr);
+  EventArchive archive(&registry_, SpillingOptions(spill));
+  for (Timestamp t = 0; t < 40; ++t) {
+    ASSERT_TRUE(archive.Append(MakeA(t, t * 0.5)).ok());
+  }
+  BytesWriter snapshot;
+  ASSERT_TRUE(archive.CheckpointTo(ckpt, &snapshot).ok());
+
+  auto names = ListDirFiles(spill);
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  std::string sidecar;
+  for (const std::string& name : *names) {
+    const std::string suffix = ".bin";
+    if (name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      sidecar = std::string(spill) + "/" + name + ".tiers";
+      break;
     }
   }
-  EXPECT_EQ(covered, 80u);
+  ASSERT_FALSE(sidecar.empty()) << "no spilled chunk in " << spill;
+  const std::string sidecar_bytes = "EXT1 leftover aggregate sidecar";
+  ASSERT_TRUE(WriteFileAtomic(sidecar, sidecar_bytes).ok());
+
+  EventArchive restored(&registry_, SpillingOptions(spill));
+  BytesReader reader(snapshot.str());
+  ASSERT_TRUE(restored.RestoreFrom(&reader).ok());
+  EXPECT_EQ(restored.NumChunks(0), archive.NumChunks(0));
+
+  DegradationReport degradation;
+  auto original = archive.Scan(0, {0, 39});
+  auto scanned = restored.Scan(0, {0, 39}, &degradation);
+  ASSERT_TRUE(original.ok());
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_FALSE(degradation.degraded()) << degradation.ToString();
+  ASSERT_EQ(scanned->size(), 40u);
+  ASSERT_EQ(scanned->size(), original->size());
+  for (size_t i = 0; i < scanned->size(); ++i) {
+    EXPECT_EQ((*scanned)[i].ts, (*original)[i].ts);
+    EXPECT_EQ((*scanned)[i].values[0].AsDouble(),
+              (*original)[i].values[0].AsDouble());
+  }
+
+  auto left = ReadFileToString(sidecar);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(*left, sidecar_bytes);
 }
 
 }  // namespace

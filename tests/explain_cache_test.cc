@@ -1,13 +1,16 @@
 #include "explain/explain_cache.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "io/file_util.h"
 #include "sim/hadoop_sim.h"
 #include "xstream/system.h"
 
@@ -112,9 +115,6 @@ TEST(ExplainCacheKeyTest, OptionsFingerprintIgnoresExecutionKnobs) {
   b.deadline_ms = 1000.0;   // changes existence, not value
   EXPECT_EQ(FingerprintExplainOptions(a), FingerprintExplainOptions(b));
 
-  ExplainOptions c = a;
-  c.tiered_reference_scans = true;  // changes reference aggregates
-  EXPECT_NE(FingerprintExplainOptions(a), FingerprintExplainOptions(c));
   ExplainOptions d = a;
   d.feature_space.windows.push_back(60);
   EXPECT_NE(FingerprintExplainOptions(a), FingerprintExplainOptions(d));
@@ -214,55 +214,24 @@ TEST_F(ServingCacheSystemTest, RepeatHitsAndWatermarkInvalidation) {
   EXPECT_EQ(system.explain_cache()->stats().computations, 2u);
 }
 
-TEST_F(ServingCacheSystemTest, DifferentOptionsFingerprintsGetSeparateEntries) {
-  // tiered_reference_scans changes reference-side aggregates, so the two
-  // variants must never share a cache entry even for one annotation.
-  XStreamConfig config;
-  config.explain.feature_space.windows = {10};
-  config.archive.tier_windows = {10};
-  config.serving.explain_cache_capacity = 8;
-  XStreamSystem system(&registry_, config);
-  auto qid = system.AddQuery(kQ1, "Q1");
-  ASSERT_TRUE(qid.ok());
-  StreamWorkload(&system);
-  ASSERT_TRUE(system.IndexPartitions(*qid, {{"program", "p"}}).ok());
-
-  const AnomalyAnnotation annotation = Annotation();
-  const uint64_t watermark = system.data_watermark();
-  ExplainOptions exact = config.explain;
-  ExplainOptions tiered = config.explain;
-  tiered.tiered_reference_scans = true;
-  EXPECT_NE(ExplainCacheKey(annotation, *qid, "sum_dataSize", exact, watermark, 0),
-            ExplainCacheKey(annotation, *qid, "sum_dataSize", tiered, watermark, 0));
-}
-
 TEST_F(ServingCacheSystemTest, DegradationStateChangesTheKey) {
-  // Tier-0 eviction (forgetting raw rows for old chunks) changes what a scan
-  // can answer — a report computed before the eviction must not serve a
-  // request made after it. Regression for the resolution/degradation key
-  // dimension: with the archive under a tier-0 retention cap, evictions bump
-  // the degradation fingerprint and the cache recomputes.
+  // A quarantined chunk changes what a scan can answer — a report computed
+  // before the quarantine must not serve a request made after it, even at
+  // the same data watermark: the degradation fingerprint is part of the key.
   XStreamConfig config;
   config.explain.feature_space.windows = {10};
   config.archive.chunk_capacity = 64;
-  config.archive.tier_windows = {10};
-  // Eviction only applies to spilled chunks, so force sealed chunks out to
-  // disk immediately.
-  config.archive.spill_dir = MakeTempDir("cache_deg");
+  // Spill sealed chunks right away so there are files to rot.
+  const std::string spill_dir = MakeTempDir("cache_deg");
+  config.archive.spill_dir = spill_dir;
   config.archive.max_resident_chunks = 1;
-  config.archive.tier0_retention_chunks = 2;
   config.serving.explain_cache_capacity = 8;
   XStreamSystem system(&registry_, config);
   auto qid = system.AddQuery(kQ1, "Q1");
   ASSERT_TRUE(qid.ok());
   StreamWorkload(&system);
   ASSERT_TRUE(system.IndexPartitions(*qid, {{"program", "p"}}).ok());
-  ASSERT_GT(system.archive().tier0_evictions(), 0u)
-      << "retention cap never evicted — the regression test is vacuous";
 
-  // Keys computed before vs after an eviction batch must differ even at one
-  // watermark. (Evictions happen during ingest here, so compare fingerprints
-  // around a forced additional eviction via more ingest.)
   const AnomalyAnnotation annotation = Annotation();
   auto first = system.Explain(annotation, *qid, "sum_dataSize");
   ASSERT_TRUE(first.ok());
@@ -271,19 +240,30 @@ TEST_F(ServingCacheSystemTest, DegradationStateChangesTheKey) {
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(system.explain_cache()->stats().hits, stats_before.hits + 1);
 
-  // Seal more chunks: the retention cap evicts more tier-0 rows, and BOTH
-  // the watermark and the degradation fingerprint move — the old entry must
-  // not be served.
-  const size_t evictions_before = system.archive().tier0_evictions();
-  const EventTypeId cpu = *registry_.IdOf("CpuUsage");
-  for (Timestamp t = 0; t < 200; ++t) {
-    Event probe(cpu, 10000 + t,
-                {Value(int64_t{0}), Value(1.0), Value(1.0), Value(1.0), Value(1.0)});
-    system.OnEvent(probe);
-  }
-  ASSERT_GT(system.archive().tier0_evictions(), evictions_before);
+  // Rot one spill file's last byte (inside its last column block's CRC),
+  // then scan the whole archive so the chunk is quarantined. No event is
+  // ingested: only the degradation fingerprint moves.
+  const uint64_t watermark = system.data_watermark();
+  auto names = ListDirFiles(spill_dir);
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  ASSERT_FALSE(names->empty()) << "no chunk spilled";
+  const std::string victim = spill_dir + "/" + names->front();
+  FILE* f = fopen(victim.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fseek(f, -1, SEEK_END), 0);
+  const int c = fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(fseek(f, -1, SEEK_END), 0);
+  fputc(c ^ 0x40, f);
+  fclose(f);
+  const TimeInterval all{std::numeric_limits<Timestamp>::min(),
+                         std::numeric_limits<Timestamp>::max()};
+  ASSERT_TRUE(system.archive().ScanAll(all).ok());
+  ASSERT_EQ(system.archive().quarantined_chunks(), 1u);
+  ASSERT_EQ(system.data_watermark(), watermark);
+
   auto after = system.Explain(annotation, *qid, "sum_dataSize");
-  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(system.explain_cache()->stats().computations,
             stats_before.computations + 1);
 }

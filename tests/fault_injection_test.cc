@@ -156,8 +156,8 @@ class FaultArchiveTest : public ::testing::Test {
   std::string dir_;
 };
 
-// Finds chunk 0's spill file in `dir`, skipping its `.tiers` sidecar (and any
-// `.quarantine` leftovers) — the rot tests must hit the primary bytes.
+// Finds chunk 0's spill file in `dir`, skipping any `.quarantine` leftovers —
+// the rot tests must hit the live bytes.
 std::string FindChunk0Spill(const std::string& dir) {
   std::string victim;
   DIR* d = opendir(dir.c_str());
@@ -165,9 +165,6 @@ std::string FindChunk0Spill(const std::string& dir) {
   while (dirent* entry = readdir(d)) {
     const std::string name = entry->d_name;
     if (name.find("type0_chunk0_") == std::string::npos) continue;
-    if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".tiers") == 0) {
-      continue;
-    }
     if (name.size() >= 11 &&
         name.compare(name.size() - 11, 11, ".quarantine") == 0) {
       continue;
@@ -206,9 +203,6 @@ TEST_F(FaultArchiveTest, V4CorruptedCompressedBlockQuarantinesNamingColumn) {
       << degradation.skipped[0].reason;
   EXPECT_TRUE(FileExists(victim + ".quarantine"));
   EXPECT_EQ(archive.quarantined_chunks(), 1u);
-  // The tier sidecar survives the quarantine: coarse scans can still be
-  // answered even though the raw bytes are gone for triage.
-  EXPECT_TRUE(FileExists(victim + ".tiers"));
 }
 
 TEST_F(FaultArchiveTest, MmapReadSiteTransientFaultRetriedAway) {

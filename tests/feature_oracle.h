@@ -6,7 +6,7 @@
 // skipped; Append drops the NaN of string values), and each spec is then
 // computed from its raw series — the series itself, a count per window over
 // the query interval (one bucketing pass), or ApplyWindowAggregate. There
-// are no columns, scan views, tails, tiers or threads. FeatureBuilder's
+// are no columns, scan views, tails or threads. FeatureBuilder's
 // columnar archive scans and incremental tails must reproduce it bit for
 // bit; the feature differential and property tests, the explain determinism
 // test and bench_scan_view / bench_explain_qps compare against it.

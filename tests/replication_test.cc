@@ -696,18 +696,16 @@ TEST(ReplicationTest, CheckpointHonorsReplicationPin) {
   receiver.Stop();
 }
 
-// CHUNK frames carry v4 (compressed) spill payloads by default. A parent
-// whose archive tiers the replicated chunks must (a) reproduce the child's
-// stream bit-identically — same fingerprint and Explain output as an
-// uncrashed single-node run — and (b) actually build usable tiers over the
-// chunks it received off the wire, not just over locally appended ones.
-TEST(ReplicationTest, TieredParentRoundTripsV4ChunksBitIdentically) {
+// CHUNK frames carry event-frame (compressed) payloads. A parent whose
+// archive seals the replicated chunks must reproduce the child's stream
+// bit-identically — same fingerprint and Explain output as an uncrashed
+// single-node run — and scan every replicated row back exactly.
+TEST(ReplicationTest, SealingParentRoundTripsChunksBitIdentically) {
   const Workload w = MakeWorkload();
   const SingleNodeTruth truth = MakeTruth(w);
 
   XStreamConfig parent_cfg = BaseConfig();
-  parent_cfg.archive.chunk_capacity = 256;  // force seals → tiers get built
-  parent_cfg.archive.tier_windows = {10};   // divides the feature window
+  parent_cfg.archive.chunk_capacity = 256;  // replicated chunks seal
   auto parent = std::make_unique<XStreamSystem>(w.registry.get(), parent_cfg);
   const auto parent_q = parent->AddQuery(kQ1, "Q1");
   ASSERT_TRUE(parent_q.ok()) << parent_q.status().ToString();
@@ -734,23 +732,20 @@ TEST(ReplicationTest, TieredParentRoundTripsV4ChunksBitIdentically) {
   EXPECT_EQ(report->SelectedFeatureNames(), truth.features);
   EXPECT_FALSE(report->degradation.degraded());
 
-  // The replicated chunks sealed with tiers: a resolution-aligned scan over
-  // the whole stream answers sealed chunks from tier segments instead of raw
-  // rows (the raw row count drops below the replicated total).
+  // The replicated rows sealed into chunks, and a scan over the whole stream
+  // returns every one of them.
   const TimeInterval all{std::numeric_limits<Timestamp>::min(),
                          std::numeric_limits<Timestamp>::max()};
-  size_t raw_rows = 0;
-  bool any_tier_segments = false;
+  size_t rows = 0;
+  size_t chunks = 0;
   for (EventTypeId type = 0; type < w.registry->size(); ++type) {
-    auto view = parent->archive().ScanColumns(type, all, nullptr, nullptr, 10);
+    auto view = parent->archive().ScanColumns(type, all);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
-    raw_rows += view->rows();
-    any_tier_segments |= !view->tier_segments.empty();
+    rows += view->rows();
+    chunks += parent->archive().NumChunks(type);
   }
-  EXPECT_TRUE(any_tier_segments)
-      << "no replicated chunk was answered from a tier";
-  EXPECT_LT(raw_rows, w.events.size());
-  EXPECT_GT(parent->archive().tier_segments_served(), 0u);
+  EXPECT_EQ(rows, w.events.size());
+  EXPECT_GT(chunks, w.registry->size()) << "no replicated chunk sealed";
 }
 
 }  // namespace

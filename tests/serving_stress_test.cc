@@ -7,6 +7,8 @@
 //  * interactive threads hammering the cached Explain path with repeated and
 //    overlapping requests while the data watermark advances underneath them,
 //  * stats/watermark readers polling the serving surfaces.
+// Ingest holds before its last batch until an interactive Explain has
+// succeeded, so at least one success provably overlapped ingest.
 // Afterwards the final explanation must still be bit-identical to a plain
 // archive-scan engine over the same data — concurrency may change timing,
 // never results.
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,11 +107,22 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringBatchedIngest)
   });
 
   constexpr size_t kBatch = 128;
-  for (size_t i = 0; i < stream.size(); i += kBatch) {
+  const size_t last_batch = (stream.size() - 1) / kBatch * kBatch;
+  const auto ingest = [&](size_t i) {
     const size_t end = std::min(stream.size(), i + kBatch);
     system.OnEventBatch(EventBatch(stream.begin() + static_cast<ptrdiff_t>(i),
                                    stream.begin() + static_cast<ptrdiff_t>(end)));
+  };
+  for (size_t i = 0; i < last_batch; i += kBatch) ingest(i);
+  // Hold the last batch until an interactive Explain has succeeded (bounded,
+  // so a broken serving path fails below instead of hanging): the count read
+  // here is of Explains that ran while ingest was still in progress.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (interactive_ok.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const size_t ok_during_ingest = interactive_ok.load();
+  ingest(last_batch);
   system.Flush();
   system.DrainAutoExplains();
   done.store(true, std::memory_order_release);
@@ -116,10 +130,11 @@ TEST(ServingStressTest, ConcurrentAutoAndInteractiveExplainsDuringBatchedIngest)
   poller.join();
 
   // The stream carries a large sustained anomaly; interactive explains must
-  // have succeeded once the match table filled in.
+  // have succeeded once the match table filled in, before ingest finished.
+  EXPECT_GT(ok_during_ingest, 0u)
+      << "no interactive Explain succeeded while ingest was running";
   auto final_report = system.Explain(annotation, *qid, "sum_dataSize");
   ASSERT_TRUE(final_report.ok()) << final_report.status().ToString();
-  EXPECT_GT(interactive_ok.load() + system.auto_explains_completed(), 0u);
 
   // Quiesced: the served explanation still equals the plain scan path.
   const ExplanationEngine scan_engine(

@@ -708,29 +708,28 @@ TEST(WalRecoveryTest, RetiredManifestVersionIsRejected) {
       << rep.status().ToString();
 }
 
-// Checkpoint round-trip of a tiered archive: resident-sealed chunks rebuild
-// their tiers deterministically at restore, spilled chunks reload them from
-// the `.tiers` sidecar, and a raw-evicted chunk comes back still evicted —
-// coarse scans keep working from tiers while exact scans keep reporting the
-// resolution loss instead of silently approximating.
-TEST(WalRecoveryTest, CheckpointRestoresTieredAndEvictedChunks) {
+// Checkpoint round-trip of a spilling archive: spilled chunks come back as
+// index entries over their (already durable) spill files, resident-sealed
+// and open chunks from their checkpoint chunk files, and the restored
+// archive scans every row back bit-identically with no degradation.
+TEST(WalRecoveryTest, CheckpointRestoresSpilledChunks) {
   EventTypeRegistry registry;
   ASSERT_TRUE(
       registry.Register(EventSchema("A", {{"x", ValueType::kDouble}})).ok());
-  const std::string spill_dir = MakeTempDir("tier_spill");
-  const std::string ckpt_dir = MakeTempDir("tier_ckpt");
+  const std::string spill_dir = MakeTempDir("restore_spill");
+  const std::string ckpt_dir = MakeTempDir("restore_ckpt");
   ArchiveOptions options;
   options.chunk_capacity = 8;
   options.spill_dir = spill_dir;
   options.max_resident_chunks = 2;
-  options.tier_windows = {4};
-  options.tier0_retention_chunks = 2;
   EventArchive archive(&registry, options);
   for (Timestamp t = 0; t < 120; ++t) {
     ASSERT_TRUE(
         archive.Append(Event(0, t, {Value(static_cast<double>(t))})).ok());
   }
-  ASSERT_GT(archive.tier0_evictions(), 0u);
+  const auto spilled = ListDirFiles(spill_dir);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  ASSERT_FALSE(spilled->empty()) << "no chunk spilled";
 
   BytesWriter snapshot;
   auto epoch = archive.CheckpointTo(ckpt_dir, &snapshot);
@@ -739,57 +738,23 @@ TEST(WalRecoveryTest, CheckpointRestoresTieredAndEvictedChunks) {
   EventArchive restored(&registry, options);
   BytesReader reader(snapshot.str());
   ASSERT_TRUE(restored.RestoreFrom(&reader).ok());
-  EXPECT_EQ(restored.TotalEvents(), archive.TotalEvents());
+  EXPECT_EQ(restored.TotalEvents(), 120u);
   EXPECT_EQ(restored.NumChunks(0), archive.NumChunks(0));
 
-  // The original and the restored archive degrade identically on exact scans
-  // (same chunks evicted) ...
   DegradationReport orig_deg;
   DegradationReport rest_deg;
-  auto orig_exact = archive.Scan(0, {0, 119}, &orig_deg);
-  auto rest_exact = restored.Scan(0, {0, 119}, &rest_deg);
-  ASSERT_TRUE(orig_exact.ok());
-  ASSERT_TRUE(rest_exact.ok());
-  EXPECT_GT(rest_deg.resolution_degraded, 0u);
-  EXPECT_EQ(rest_deg.resolution_degraded, orig_deg.resolution_degraded);
-  EXPECT_EQ(rest_deg.events_lost_estimate, orig_deg.events_lost_estimate);
-  ASSERT_EQ(rest_exact->size(), orig_exact->size());
-  for (size_t i = 0; i < rest_exact->size(); ++i) {
-    EXPECT_EQ((*rest_exact)[i].ts, (*orig_exact)[i].ts);
-    EXPECT_EQ((*rest_exact)[i].values[0].AsDouble(),
-              (*orig_exact)[i].values[0].AsDouble());
+  auto orig = archive.Scan(0, {0, 119}, &orig_deg);
+  auto rest = restored.Scan(0, {0, 119}, &rest_deg);
+  ASSERT_TRUE(orig.ok());
+  ASSERT_TRUE(rest.ok());
+  EXPECT_FALSE(orig_deg.degraded());
+  EXPECT_FALSE(rest_deg.degraded());
+  ASSERT_EQ(rest->size(), 120u);
+  ASSERT_EQ(rest->size(), orig->size());
+  for (size_t i = 0; i < rest->size(); ++i) {
+    EXPECT_EQ((*rest)[i].ts, (*orig)[i].ts);
+    EXPECT_EQ((*rest)[i].values[0].AsDouble(), (*orig)[i].values[0].AsDouble());
   }
-
-  // ... and a resolution-aligned scan over the restored archive still covers
-  // every appended row from tiers plus surviving raw chunks, bit-identically
-  // to the pre-checkpoint aggregates.
-  auto cover = [](const ScanView& view) {
-    size_t rows = view.rows();
-    double sum = 0.0;
-    for (const auto& seg : view.segments) {
-      for (size_t i = seg.begin; i < seg.end; ++i) {
-        sum += seg.columns->attr(0).nums[i];
-      }
-    }
-    for (const auto& seg : view.tier_segments) {
-      for (size_t i = seg.begin; i < seg.end; ++i) {
-        rows += seg.tier->attrs[0].count[i];
-        sum += seg.tier->attrs[0].sum[i];
-      }
-    }
-    return std::pair<size_t, double>(rows, sum);
-  };
-  DegradationReport tier_deg;
-  auto orig_tiered = archive.ScanColumns(0, {0, 119}, nullptr, nullptr, 4);
-  auto rest_tiered = restored.ScanColumns(0, {0, 119}, &tier_deg, nullptr, 4);
-  ASSERT_TRUE(orig_tiered.ok());
-  ASSERT_TRUE(rest_tiered.ok());
-  EXPECT_FALSE(tier_deg.degraded());
-  const auto orig_cover = cover(*orig_tiered);
-  const auto rest_cover = cover(*rest_tiered);
-  EXPECT_EQ(orig_cover.first, 120u);
-  EXPECT_EQ(rest_cover.first, 120u);
-  EXPECT_EQ(rest_cover.second, orig_cover.second);  // bitwise
 }
 
 }  // namespace
