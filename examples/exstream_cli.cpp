@@ -9,6 +9,8 @@
 //                [--chart PARTITION] [--threads N] [--deadline-ms MS]
 //                [--explain PARTITION:LO:HI --reference PARTITION:LO:HI]
 //
+// A flag the CLI does not know prints the usage and exits with status 2.
+//
 // --threads N runs the explanation analysis on N worker threads (default 1;
 // 0 = one per hardware thread). The explanation itself is identical for any
 // thread count.
@@ -93,6 +95,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/stopwatch.h"
@@ -384,6 +387,38 @@ int RunMultiTenantParent(std::map<std::string, std::string>& args,
   return 0;
 }
 
+// Every `--name value` flag Run reads; any other name is a usage error.
+const std::set<std::string> kValueFlags = {
+    "backpressure", "batch-size", "chart", "checkpoint", "column",
+    "deadline-ms", "detect-threshold", "drain-ms", "events", "expect-events",
+    "explain", "explain-cache", "fsync", "incremental-retention", "listen",
+    "listen-for-ms", "node-id", "query", "queue-capacity", "quota-burst-bytes",
+    "quota-bytes-per-sec", "recover", "reference", "repl-state", "replicate-to",
+    "save-rule", "schema", "tenant", "tenants", "threads", "wal-dir",
+    "z-threshold"};
+
+int Usage() {
+  fprintf(stderr,
+          "usage: exstream_cli --demo | --schema F --events F --query F\n"
+          "       [--column NAME] [--list-partitions] [--chart PARTITION]\n"
+          "       [--threads N] [--batch-size B]\n"
+          "       [--deadline-ms MS]\n"
+          "       [--wal-dir DIR] [--fsync none|interval|every_batch]\n"
+          "       [--checkpoint DIR] [--recover DIR]\n"
+          "       [--queue-capacity N]\n"
+          "       [--backpressure block|shed-oldest|shed-newest]\n"
+          "       [--detect [--detect-threshold X]]\n"
+          "       [--auto-explain [--z-threshold Z]]\n"
+          "       [--explain-cache N] [--incremental-retention S]\n"
+          "       [--replicate-to HOST:PORT [--drain-ms MS]\n"
+          "        [--tenant NAME] [--node-id NAME]]\n"
+          "       [--listen PORT [--expect-events N] [--listen-for-ms MS]\n"
+          "        [--repl-state PATH] [--tenants A,B,...]\n"
+          "        [--quota-bytes-per-sec N] [--quota-burst-bytes N]]\n"
+          "       [--explain P:LO:HI --reference P:LO:HI [--save-rule F]]\n");
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   std::map<std::string, std::string> args;
   bool demo = argc <= 1;  // bare invocation runs the self-contained demo
@@ -407,6 +442,12 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
+  for (const auto& [name, value] : args) {
+    if (kValueFlags.count(name) == 0) {
+      fprintf(stderr, "unknown flag '--%s'\n", name.c_str());
+      return Usage();
+    }
+  }
 
   if (demo) {
     auto paths = WriteDemoFiles();
@@ -428,27 +469,7 @@ int Run(int argc, char** argv) {
   const bool have_inputs = args.count("schema") && args.count("query") &&
                            (args.count("events") || args.count("recover") ||
                             args.count("listen"));
-  if (!have_inputs) {
-    fprintf(stderr,
-            "usage: exstream_cli --demo | --schema F --events F --query F\n"
-            "       [--column NAME] [--list-partitions] [--chart PARTITION]\n"
-            "       [--threads N] [--batch-size B]\n"
-            "       [--deadline-ms MS]\n"
-            "       [--wal-dir DIR] [--fsync none|interval|every_batch]\n"
-            "       [--checkpoint DIR] [--recover DIR]\n"
-            "       [--queue-capacity N]\n"
-            "       [--backpressure block|shed-oldest|shed-newest]\n"
-            "       [--detect [--detect-threshold X]]\n"
-            "       [--auto-explain [--z-threshold Z]]\n"
-            "       [--explain-cache N] [--incremental-retention S]\n"
-            "       [--replicate-to HOST:PORT [--drain-ms MS]\n"
-            "        [--tenant NAME] [--node-id NAME]]\n"
-            "       [--listen PORT [--expect-events N] [--listen-for-ms MS]\n"
-            "        [--repl-state PATH] [--tenants A,B,...]\n"
-            "        [--quota-bytes-per-sec N] [--quota-burst-bytes N]]\n"
-            "       [--explain P:LO:HI --reference P:LO:HI]\n");
-    return 2;
-  }
+  if (!have_inputs) return Usage();
 
   auto registry = LoadSchemaFile(args["schema"]);
   if (!registry.ok()) {

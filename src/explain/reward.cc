@@ -41,11 +41,13 @@ Result<std::vector<RankedFeature>> ComputeFeatureRewards(
     const FeatureBuilder& builder, const std::vector<FeatureSpec>& specs,
     const TimeInterval& abnormal, const TimeInterval& reference,
     size_t min_support, ThreadPool* pool, const CancelToken* cancel,
-    DegradationReport* degradation) {
-  EXSTREAM_ASSIGN_OR_RETURN(std::vector<Feature> fa,
-                            builder.Build(specs, abnormal, pool, cancel, degradation));
-  EXSTREAM_ASSIGN_OR_RETURN(std::vector<Feature> fr,
-                            builder.Build(specs, reference, pool, cancel, degradation));
+    DegradationReport* degradation, ChunkPins* pins) {
+  EXSTREAM_ASSIGN_OR_RETURN(
+      std::vector<Feature> fa,
+      builder.Build(specs, abnormal, pool, cancel, degradation, pins));
+  EXSTREAM_ASSIGN_OR_RETURN(
+      std::vector<Feature> fr,
+      builder.Build(specs, reference, pool, cancel, degradation, pins));
   std::vector<RankedFeature> ranked =
       RankFeatures(std::move(fa), std::move(fr), min_support, pool, cancel);
   if (cancel != nullptr && cancel->Expired()) {

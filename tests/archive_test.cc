@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,6 +169,64 @@ TEST_F(ArchiveTest, SpillToDiskAndReload) {
   ASSERT_TRUE(events.ok());
   ASSERT_EQ(events->size(), 200u);
   EXPECT_DOUBLE_EQ((*events)[100].values[0].AsDouble(), 50.0);
+}
+
+// ---- Shared spill decodes -------------------------------------------------
+
+// Counts spill-file decodes through the read hook: chunks of 8 rows, every
+// sealed chunk past the first two on disk, so chunk 0 (ts 0..7) is spilled.
+class SharedDecodeTest : public ArchiveTest {
+ protected:
+  void SetUp() override {
+    ArchiveTest::SetUp();
+    char tmpl[] = "/tmp/exstream_shared_decode_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    ArchiveOptions options;
+    options.chunk_capacity = 8;
+    options.spill_dir = std::string(tmpl);
+    options.max_resident_chunks = 2;
+    options.spill_read_hook_for_testing = [this] { ++decodes_; };
+    archive_ = std::make_unique<EventArchive>(&registry_, options);
+    for (Timestamp t = 0; t < 200; ++t) {
+      ASSERT_TRUE(archive_->Append(MakeA(t, t * 0.5)).ok());
+    }
+  }
+
+  std::unique_ptr<EventArchive> archive_;
+  size_t decodes_ = 0;
+};
+
+TEST_F(SharedDecodeTest, ScansShareADecodeWhileAViewIsAlive) {
+  auto first = archive_->ScanColumns(0, {0, 7});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->segments.size(), 1u);
+  EXPECT_EQ(decodes_, 1u);
+
+  // A narrower scan of the same chunk reuses the live decode: same columns,
+  // its own row range, no second file read.
+  auto second = archive_->ScanColumns(0, {2, 5});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->segments.size(), 1u);
+  EXPECT_EQ(decodes_, 1u);
+  EXPECT_EQ(second->segments[0].columns, first->segments[0].columns);
+  EXPECT_EQ(second->segments[0].begin, 2u);
+  EXPECT_EQ(second->segments[0].end, 6u);
+}
+
+TEST_F(SharedDecodeTest, ScanAfterEveryViewIsDroppedDecodesAgain) {
+  {
+    auto view = archive_->ScanColumns(0, {0, 7});
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    auto again = archive_->ScanColumns(0, {0, 7});
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+  }
+  EXPECT_EQ(decodes_, 1u);
+  // Nothing pins the decode any more: the archive holds only a weak handle,
+  // so the memory is gone and the next scan reads the file.
+  auto events = archive_->Scan(0, {0, 7});
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events->size(), 8u);
+  EXPECT_EQ(decodes_, 2u);
 }
 
 TEST(SerializationTest, RoundTripAllTypes) {

@@ -4,6 +4,10 @@
 
 #include "explain/engine.h"
 
+#include <atomic>
+#include <cstdlib>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -144,6 +148,75 @@ TEST_F(ExplainEngineTest, SelectedFeatureNames) {
   ASSERT_TRUE(report.ok());
   const auto names = report->SelectedFeatureNames();
   EXPECT_EQ(names.size(), report->final_features.size());
+}
+
+// The same metric stream in a spilling archive whose spill-read hook counts
+// decodes: chunks of 32 rows, every sealed chunk but the newest two on disk,
+// so chunks 0..9 (ts 0..319) are spilled.
+class ExplainSharedDecodeTest : public ExplainEngineTest {
+ protected:
+  void SetUp() override {
+    ExplainEngineTest::SetUp();
+    char tmpl[] = "/tmp/exstream_explain_decode_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    ArchiveOptions options;
+    options.chunk_capacity = 32;
+    options.spill_dir = std::string(tmpl);
+    options.max_resident_chunks = 2;
+    options.spill_read_hook_for_testing = [this] { ++decodes_; };
+    auto rows = archive_->Scan(0, {0, 399});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    spilling_ = std::make_unique<EventArchive>(&registry_, options);
+    for (const Event& e : *rows) ASSERT_TRUE(spilling_->Append(e).ok());
+  }
+
+  std::unique_ptr<EventArchive> spilling_;
+  std::atomic<size_t> decodes_{0};
+};
+
+TEST_F(ExplainSharedDecodeTest, ExplainDecodesEachSpilledChunkOnce) {
+  // I_A [100, 199] reads spilled chunks 3..6 and I_R [200, 399] chunks 6..9:
+  // chunk 6 is read by both builds but decoded once, because the first
+  // build's segments stay pinned until Explain returns.
+  ExplanationEngine engine(spilling_.get(), nullptr, nullptr, Options());
+  auto report = engine.Explain(Annotation());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(decodes_.load(), 7u);
+
+  // The pins are dropped on return: the next Explain reads the files again.
+  auto again = engine.Explain(Annotation());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(decodes_.load(), 14u);
+  EXPECT_EQ(again->SelectedFeatureNames(), report->SelectedFeatureNames());
+}
+
+TEST_F(ExplainSharedDecodeTest, ValidationBuildsReuseTheExplainsDecodes) {
+  // Step 2 rebuilds the survivors over the annotated intervals and the
+  // labeled remainder [0, 99] of the partition, on the worker pool. With
+  // the pins passed through, no spilled chunk is decoded twice in one call.
+  PartitionTable partitions;
+  PartitionRecord record;
+  record.query_name = "Q";
+  record.partition = "p";
+  record.start_ts = 0;
+  record.end_ts = 399;
+  record.num_points = 400;
+  partitions.Upsert(record);
+  TimeSeries monitored;
+  for (Timestamp t = 0; t < 400; ++t) {
+    ASSERT_TRUE(monitored.Append(t, t >= 100 && t < 200 ? 10.0 : 50.0).ok());
+  }
+  const SeriesProvider provider = [&](const std::string&, const std::string&) {
+    return Result<TimeSeries>(monitored);
+  };
+  ExplainOptions options = Options();
+  options.enable_validation = true;
+  options.num_threads = 4;
+  ExplanationEngine engine(spilling_.get(), &partitions, provider, options);
+  auto report = engine.Explain(Annotation());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->num_labeled_abnormal + report->num_labeled_reference, 0u);
+  EXPECT_LE(decodes_.load(), 10u);  // chunks 0..9, each at most once
 }
 
 }  // namespace

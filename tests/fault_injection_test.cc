@@ -323,6 +323,63 @@ TEST_F(FaultArchiveTest, QuarantineIsStickyAcrossScans) {
   EXPECT_EQ(archive.quarantined_chunks(), 1u);  // no double count
 }
 
+TEST_F(FaultArchiveTest, FaultAfterEveryViewIsDroppedStillQuarantines) {
+  // A chunk read once before is read again once nothing pins its decode, so
+  // bytes that rotted in between are caught on that read, as before.
+  EventArchive archive(&registry_, SpillOptions());
+  Fill(&archive);
+  {
+    auto view = archive.ScanColumns(0, {0, 199});
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(view->rows(), 200u);
+  }
+
+  FaultPlan plan;
+  plan.mode = FaultMode::kCorruptBytes;
+  plan.op = FaultOp::kRead;
+  plan.path_substring = "type0_chunk0_";
+  ScopedFaultInjection fault(plan);
+
+  DegradationReport degradation;
+  auto events = archive.Scan(0, {0, 199}, &degradation);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events->size(), 192u);
+  ASSERT_EQ(degradation.chunks_skipped(), 1u);
+  EXPECT_TRUE(FileExists(degradation.skipped[0].spill_path + ".quarantine"));
+  EXPECT_EQ(archive.quarantined_chunks(), 1u);
+}
+
+TEST_F(FaultArchiveTest, FaultWhileADecodeIsPinnedIsSeenAfterRelease) {
+  // A live view pins chunk 0's decode, so scans reuse those columns and do
+  // not read the file: bytes that rot meanwhile go unseen until the pin is
+  // released and a scan decodes the chunk again.
+  EventArchive archive(&registry_, SpillOptions());
+  Fill(&archive);
+  auto pinned = archive.ScanColumns(0, {0, 7});
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+
+  FaultPlan plan;
+  plan.mode = FaultMode::kCorruptBytes;
+  plan.op = FaultOp::kRead;
+  plan.path_substring = "type0_chunk0_";
+  ScopedFaultInjection fault(plan);
+
+  DegradationReport while_pinned;
+  auto events = archive.Scan(0, {0, 199}, &while_pinned);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events->size(), 200u);
+  EXPECT_FALSE(while_pinned.degraded());
+  EXPECT_EQ(archive.quarantined_chunks(), 0u);
+
+  pinned = ScanView{};  // release the pin
+  DegradationReport after_release;
+  events = archive.Scan(0, {0, 199}, &after_release);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events->size(), 192u);
+  ASSERT_EQ(after_release.chunks_skipped(), 1u);
+  EXPECT_EQ(archive.quarantined_chunks(), 1u);
+}
+
 TEST_F(FaultArchiveTest, NoSpaceKeepsChunksResidentAndScannable) {
   FaultPlan plan;
   plan.mode = FaultMode::kNoSpace;
