@@ -133,6 +133,9 @@ struct ScanView {
     std::shared_ptr<const ChunkColumns> columns;
     size_t begin = 0;  ///< first in-range row
     size_t end = 0;    ///< one past the last in-range row
+    /// Decoded from a spill file: later scans of the chunk share `columns`
+    /// for as long as some holder keeps them alive (EventArchive::ScanColumns).
+    bool spill_decode = false;
     size_t size() const { return end - begin; }
   };
 
