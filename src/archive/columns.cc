@@ -8,19 +8,22 @@ namespace exstream {
 
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Rows tagged `type` in [first, last); 0 without a walk when the column holds
+// no dense values of that kind (`dense` is its dense vector).
+template <typename Dense>
+size_t CountTag(const Dense& dense, std::vector<uint8_t>::const_iterator first,
+                std::vector<uint8_t>::const_iterator last, ValueType type) {
+  if (dense.empty()) return 0;
+  return static_cast<size_t>(std::count(first, last, static_cast<uint8_t>(type)));
+}
+
 }  // namespace
 
 std::pair<size_t, size_t> AttributeColumn::DenseOffsetsAt(size_t row) const {
-  size_t int_off = 0;
-  size_t str_off = 0;
-  for (size_t i = 0; i < row; ++i) {
-    if (tags[i] == static_cast<uint8_t>(ValueType::kInt64)) {
-      ++int_off;
-    } else if (tags[i] == static_cast<uint8_t>(ValueType::kString)) {
-      ++str_off;
-    }
-  }
-  return {int_off, str_off};
+  const auto end = tags.begin() + static_cast<std::ptrdiff_t>(row);
+  return {CountTag(ints, tags.begin(), end, ValueType::kInt64),
+          CountTag(str_ids, tags.begin(), end, ValueType::kString)};
 }
 
 ChunkColumns::ChunkColumns(EventTypeId type, const EventSchema* schema)
@@ -36,11 +39,17 @@ ChunkColumns::ChunkColumns(EventTypeId type, const EventSchema* schema)
 uint32_t ChunkColumns::InternString(size_t col, const std::string& s) {
   if (dict_index_.size() < attrs_.size()) dict_index_.resize(attrs_.size());
   auto& index = dict_index_[col];
+  std::vector<std::string>& dict = attrs_[col].dict;
+  if (index.empty() && !dict.empty()) {
+    // Slices and restored checkpoints come without the index; rebuild it
+    // before the first append so known strings keep their ids.
+    for (uint32_t id = 0; id < dict.size(); ++id) index.emplace(dict[id], id);
+  }
   // Look up before inserting: emplace would build a key string every call.
   if (const auto it = index.find(s); it != index.end()) return it->second;
-  const uint32_t id = static_cast<uint32_t>(attrs_[col].dict.size());
+  const uint32_t id = static_cast<uint32_t>(dict.size());
   index.emplace(s, id);
-  attrs_[col].dict.push_back(s);
+  dict.push_back(s);
   return id;
 }
 
@@ -182,11 +191,27 @@ ChunkColumns ChunkColumns::Slice(size_t lo, size_t hi) const {
     dst.declared = src.declared;
     dst.tags.assign(src.tags.begin() + lo, src.tags.begin() + hi);
     dst.nums.assign(src.nums.begin() + lo, src.nums.begin() + hi);
+    // Dense cursors at `lo`, then only the slice's own tags are counted.
     const auto [int_lo, str_lo] = src.DenseOffsetsAt(lo);
-    const auto [int_hi, str_hi] = src.DenseOffsetsAt(hi);
+    const size_t int_hi =
+        int_lo + CountTag(src.ints, dst.tags.begin(), dst.tags.end(), ValueType::kInt64);
+    const size_t str_hi = str_lo + CountTag(src.str_ids, dst.tags.begin(),
+                                            dst.tags.end(), ValueType::kString);
     dst.ints.assign(src.ints.begin() + int_lo, src.ints.begin() + int_hi);
-    dst.str_ids.assign(src.str_ids.begin() + str_lo, src.str_ids.begin() + str_hi);
-    dst.dict = src.dict;  // ids stay valid against the full dictionary
+    // The dictionary keeps only the strings these rows use, renumbered in
+    // first-seen order, so repeated compaction cannot grow it.
+    if (str_hi == str_lo) continue;
+    constexpr uint32_t kUnmapped = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> remap(src.dict.size(), kUnmapped);
+    dst.str_ids.reserve(str_hi - str_lo);
+    for (size_t k = str_lo; k < str_hi; ++k) {
+      uint32_t& id = remap[src.str_ids[k]];
+      if (id == kUnmapped) {
+        id = static_cast<uint32_t>(dst.dict.size());
+        dst.dict.push_back(src.dict[src.str_ids[k]]);
+      }
+      dst.str_ids.push_back(id);
+    }
   }
   return out;
 }

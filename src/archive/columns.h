@@ -41,8 +41,9 @@ struct AttributeColumn {
   std::vector<uint32_t> str_ids;  ///< dense: string-tagged rows, in row order
   std::vector<std::string> dict;  ///< string dictionary (first-seen order)
 
-  /// Dense cursor positions of `ints` / `str_ids` for the given first row.
-  /// O(row) tag walk; used by row materialization only.
+  /// Dense cursor positions of `ints` / `str_ids` for the given first row:
+  /// a count of the tags before `row`, skipped for a kind the column does
+  /// not hold (a pure-double column costs nothing).
   std::pair<size_t, size_t> DenseOffsetsAt(size_t row) const;
 };
 
@@ -95,8 +96,10 @@ class ChunkColumns {
   void MaterializeRows(size_t lo, size_t hi, std::vector<Event>* out) const;
 
   /// Deep copy of rows [lo, hi) — used to snapshot the mutable open tail of a
-  /// chunk under the shard lock. The dictionary is copied whole (ids stay
-  /// valid); dense vectors are trimmed to the range.
+  /// chunk under the shard lock, and to compact an incremental tail. Dense
+  /// vectors are trimmed to the range; each dictionary holds only the strings
+  /// the slice's rows use, renumbered in first-seen order. The slice may be
+  /// appended to: its dictionary index is rebuilt on the first string append.
   ChunkColumns Slice(size_t lo, size_t hi) const;
 
   /// Serialization needs mutable access when rebuilding the struct.
@@ -111,6 +114,7 @@ class ChunkColumns {
   std::vector<Timestamp> ts_;
   std::vector<AttributeColumn> attrs_;
   /// Per-column dictionary index; only consulted while the chunk is open.
+  /// Slices and restored chunks start without it (InternString rebuilds it).
   std::vector<std::unordered_map<std::string, uint32_t>> dict_index_;
 };
 

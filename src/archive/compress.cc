@@ -23,7 +23,7 @@ void PutVarint(std::string* out, uint64_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-Result<uint64_t> ByteReader::GetVarint() {
+Result<uint64_t> ByteReader::GetVarintSlow() {
   uint64_t v = 0;
   int shift = 0;
   for (int i = 0; i < kMaxVarintBytes; ++i) {

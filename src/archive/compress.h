@@ -40,7 +40,22 @@ class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  Result<uint64_t> GetVarint();
+  Result<uint64_t> GetVarint() {
+    // Fast path: a varint of at most 9 bytes (every value below 2^63) that
+    // ends inside the buffer. Anything else re-reads on the checked path.
+    const size_t n = remaining() < 9 ? remaining() : 9;
+    const char* p = data_.data() + pos_;
+    uint64_t v = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t byte = static_cast<uint8_t>(p[i]);
+      v |= static_cast<uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        pos_ += i + 1;
+        return v;
+      }
+    }
+    return GetVarintSlow();
+  }
   Result<int64_t> GetSignedVarint() {
     EXSTREAM_ASSIGN_OR_RETURN(const uint64_t raw, GetVarint());
     return ZigZagDecode(raw);
@@ -53,6 +68,10 @@ class ByteReader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
+  /// GetVarint's out-of-line path: 10-byte values, and the Truncated /
+  /// Corruption errors.
+  Result<uint64_t> GetVarintSlow();
+
   std::string_view data_;
   size_t pos_ = 0;
 };

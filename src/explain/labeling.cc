@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ts/clustering.h"
 #include "ts/entropy_distance.h"
 
 namespace exstream {
@@ -20,6 +19,22 @@ std::string_view IntervalLabelToString(IntervalLabel label) {
   return "?";
 }
 
+namespace {
+
+// IntervalDistance from its parts: the entropy distance of the two value sets
+// and the two sampling frequencies.
+double CombineDistance(double d_entropy, double fa, double fb,
+                       const LabelingOptions& options) {
+  const double d_freq =
+      std::max(fa, fb) > 0 ? std::fabs(fa - fb) / std::max(fa, fb) : 0.0;
+  const double wsum = options.entropy_weight + options.frequency_weight;
+  if (wsum <= 0) return 0.0;
+  return (options.entropy_weight * d_entropy + options.frequency_weight * d_freq) /
+         wsum;
+}
+
+}  // namespace
+
 double IntervalDistance(const TimeSeries& a, const TimeSeries& b,
                         const LabelingOptions& options) {
   if (a.empty() || b.empty()) return 1.0;
@@ -27,14 +42,32 @@ double IntervalDistance(const TimeSeries& a, const TimeSeries& b,
   // perfectly separable (very different behavior); D near 0 means mixed
   // (similar behavior). This is exactly an inter-interval distance.
   const double d_entropy = ComputeEntropyDistance(a.values(), b.values()).distance;
-  const double fa = a.Frequency();
-  const double fb = b.Frequency();
-  const double d_freq =
-      std::max(fa, fb) > 0 ? std::fabs(fa - fb) / std::max(fa, fb) : 0.0;
-  const double wsum = options.entropy_weight + options.frequency_weight;
-  if (wsum <= 0) return 0.0;
-  return (options.entropy_weight * d_entropy + options.frequency_weight * d_freq) /
-         wsum;
+  return CombineDistance(d_entropy, a.Frequency(), b.Frequency(), options);
+}
+
+DistanceMatrix IntervalDistances(const std::vector<const TimeSeries*>& series,
+                                 const LabelingOptions& options) {
+  // Every series meets every other one: sort each once, not once per pair.
+  const size_t n = series.size();
+  std::vector<std::vector<double>> sorted(n);
+  std::vector<double> freq(n);
+  for (size_t i = 0; i < n; ++i) {
+    sorted[i] = series[i]->values();
+    std::sort(sorted[i].begin(), sorted[i].end());
+    freq[i] = series[i]->Frequency();
+  }
+  DistanceMatrix dist(n);  // one flat allocation, not n+1 row vectors
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (sorted[i].empty() || sorted[j].empty()) {
+        dist.Set(i, j, 1.0);
+        continue;
+      }
+      const double d_entropy = ComputeEntropyDistanceSorted(sorted[i], sorted[j]).distance;
+      dist.Set(i, j, CombineDistance(d_entropy, freq[i], freq[j], options));
+    }
+  }
+  return dist;
 }
 
 Result<std::vector<LabeledInterval>> LabelIntervals(
@@ -48,13 +81,7 @@ Result<std::vector<LabeledInterval>> LabelIntervals(
   series.push_back(&annotated_reference.series);
   for (const auto& c : candidates) series.push_back(&c.series);
 
-  const size_t n = series.size();
-  DistanceMatrix dist(n);  // one flat allocation, not n+1 row vectors
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      dist.Set(i, j, IntervalDistance(*series[i], *series[j], options));
-    }
-  }
+  const DistanceMatrix dist = IntervalDistances(series, options);
   EXSTREAM_ASSIGN_OR_RETURN(const ClusteringResult clusters,
                             AgglomerativeCluster(dist, options.cut_threshold));
 

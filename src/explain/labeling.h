@@ -13,6 +13,7 @@
 
 #include "common/result.h"
 #include "event/event.h"
+#include "ts/clustering.h"
 #include "ts/time_series.h"
 
 namespace exstream {
@@ -54,6 +55,11 @@ struct LabelingOptions {
 /// sampling frequencies. Ranges over [0, 1].
 double IntervalDistance(const TimeSeries& a, const TimeSeries& b,
                         const LabelingOptions& options = {});
+
+/// \brief IntervalDistance between every pair of `series`, equal cell for
+/// cell to calling it pairwise; each series is sorted once, not once per pair.
+DistanceMatrix IntervalDistances(const std::vector<const TimeSeries*>& series,
+                                 const LabelingOptions& options = {});
 
 /// \brief Clusters {annotated abnormal, annotated reference, candidates} and
 /// labels each candidate by the cluster it shares with an annotated interval.

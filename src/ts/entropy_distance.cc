@@ -55,12 +55,11 @@ std::string_view SegmentClassToString(SegmentClass c) {
   return "unknown";
 }
 
-EntropyDistanceResult ComputeEntropyDistance(
-    const std::vector<double>& abnormal_values,
-    const std::vector<double>& reference_values) {
+EntropyDistanceResult ComputeEntropyDistanceSorted(std::span<const double> abnormal,
+                                                   std::span<const double> reference) {
   EntropyDistanceResult out;
-  out.abnormal_count = abnormal_values.size();
-  out.reference_count = reference_values.size();
+  out.abnormal_count = abnormal.size();
+  out.reference_count = reference.size();
   const size_t total = out.abnormal_count + out.reference_count;
   if (out.abnormal_count == 0 || out.reference_count == 0) {
     // No contrast between classes; reward is zero by definition.
@@ -72,52 +71,35 @@ EntropyDistanceResult ComputeEntropyDistance(
   const double pr = static_cast<double>(out.reference_count) / static_cast<double>(total);
   out.class_entropy = PLog(pa) + PLog(pr);
 
-  // Merge-sort the two value sets, tagging each point with its class.
-  struct Point {
-    double value;
-    bool abnormal;
-  };
-  std::vector<Point> points;
-  points.reserve(total);
-  for (double v : abnormal_values) points.push_back({v, true});
-  for (double v : reference_values) points.push_back({v, false});
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) { return a.value < b.value; });
-
-  // Group equal values: a distinct value owned by both classes is mixed.
-  struct Group {
-    double value;
-    size_t abnormal;
-    size_t reference;
-    SegmentClass cls() const {
-      if (abnormal > 0 && reference > 0) return SegmentClass::kMixed;
-      return abnormal > 0 ? SegmentClass::kAbnormalOnly : SegmentClass::kReferenceOnly;
-    }
-  };
-  std::vector<Group> groups;
-  for (const Point& p : points) {
-    if (!groups.empty() && groups.back().value == p.value) {
-      if (p.abnormal) {
-        ++groups.back().abnormal;
-      } else {
-        ++groups.back().reference;
-      }
-    } else {
-      groups.push_back({p.value, p.abnormal ? size_t{1} : size_t{0},
-                        p.abnormal ? size_t{0} : size_t{1}});
-    }
-  }
-
-  // Merge consecutive groups with the same ownership into maximal segments.
-  for (const Group& g : groups) {
-    const SegmentClass cls = g.cls();
+  // Merge walk over the two sorted classes. Each step takes the smallest
+  // remaining value and consumes its equal run on both sides: a distinct value
+  // owned by both classes is mixed. Consecutive values with the same
+  // ownership extend one maximal segment.
+  const size_t na = abnormal.size();
+  const size_t nr = reference.size();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < na || j < nr) {
+    const bool from_abnormal = j == nr || (i < na && !(reference[j] < abnormal[i]));
+    const double v = from_abnormal ? abnormal[i] : reference[j];
+    // The value that picked the step is always consumed, so the walk ends
+    // even on values that compare unequal to themselves.
+    size_t ca = from_abnormal ? 1 : 0;
+    size_t cr = from_abnormal ? 0 : 1;
+    i += ca;
+    j += cr;
+    for (; i < na && abnormal[i] == v; ++i) ++ca;
+    for (; j < nr && reference[j] == v; ++j) ++cr;
+    const SegmentClass cls = ca > 0 && cr > 0 ? SegmentClass::kMixed
+                             : ca > 0         ? SegmentClass::kAbnormalOnly
+                                              : SegmentClass::kReferenceOnly;
     if (!out.segments.empty() && out.segments.back().cls == cls) {
       Segment& s = out.segments.back();
-      s.max_value = g.value;
-      s.abnormal_points += g.abnormal;
-      s.reference_points += g.reference;
+      s.max_value = v;
+      s.abnormal_points += ca;
+      s.reference_points += cr;
     } else {
-      out.segments.push_back(Segment{cls, g.value, g.value, g.abnormal, g.reference});
+      out.segments.push_back(Segment{cls, v, v, ca, cr});
     }
   }
 
@@ -139,6 +121,22 @@ EntropyDistanceResult ComputeEntropyDistance(
                      ? std::min(1.0, out.class_entropy / out.regularized_entropy)
                      : 0.0;
   return out;
+}
+
+EntropyDistanceResult ComputeEntropyDistance(
+    const std::vector<double>& abnormal_values,
+    const std::vector<double>& reference_values) {
+  // One buffer, each class sorted in its own half.
+  std::vector<double> sorted;
+  sorted.reserve(abnormal_values.size() + reference_values.size());
+  sorted.insert(sorted.end(), abnormal_values.begin(), abnormal_values.end());
+  sorted.insert(sorted.end(), reference_values.begin(), reference_values.end());
+  const auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(abnormal_values.size());
+  std::sort(sorted.begin(), mid);
+  std::sort(mid, sorted.end());
+  const std::span<const double> all(sorted);
+  return ComputeEntropyDistanceSorted(all.first(abnormal_values.size()),
+                                      all.subspan(abnormal_values.size()));
 }
 
 EntropyDistanceResult ComputeEntropyDistance(const TimeSeries& abnormal,

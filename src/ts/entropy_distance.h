@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,12 @@ struct AbnormalRange {
 /// when either side is empty (no class contrast exists).
 EntropyDistanceResult ComputeEntropyDistance(const std::vector<double>& abnormal_values,
                                              const std::vector<double>& reference_values);
+
+/// \brief ComputeEntropyDistance over values already sorted ascending (by
+/// `operator<`): the same result without sorting. Callers that score one
+/// series against many others (interval labeling) sort each series once.
+EntropyDistanceResult ComputeEntropyDistanceSorted(std::span<const double> abnormal,
+                                                   std::span<const double> reference);
 
 /// \brief Convenience overload on the two interval time series of a feature.
 EntropyDistanceResult ComputeEntropyDistance(const TimeSeries& abnormal,

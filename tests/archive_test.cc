@@ -1,5 +1,6 @@
 #include "archive/archive.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "archive/columns.h"
 #include "archive/compress.h"
 #include "archive/serialization.h"
 #include "common/crc32.h"
@@ -696,6 +698,126 @@ TEST_F(ArchiveTest, RestoreIgnoresLeftoverTierSidecars) {
   ASSERT_TRUE(left.ok()) << left.status().ToString();
   EXPECT_EQ(*left, sidecar_bytes);
 }
+
+// GetVarint's fast path must hand every error to the checked path unchanged:
+// a varint that runs off the end, and a 10th byte carrying more than the top
+// bit, both right at the end of the buffer.
+TEST(ByteReaderTest, VarintErrorsAtBufferEnd) {
+  {
+    ByteReader r(std::string_view("\x81\x80\x80", 3));
+    const auto v = r.GetVarint();
+    ASSERT_FALSE(v.ok());
+    EXPECT_TRUE(v.status().IsTruncated()) << v.status().ToString();
+    EXPECT_NE(v.status().message().find("varint runs past end of buffer at offset 3"),
+              std::string::npos)
+        << v.status().ToString();
+  }
+  {
+    const std::string bytes = std::string(9, '\xFF') + '\x02';
+    ByteReader r(bytes);
+    const auto v = r.GetVarint();
+    ASSERT_FALSE(v.ok());
+    EXPECT_TRUE(v.status().IsCorruption()) << v.status().ToString();
+    EXPECT_NE(v.status().message().find("varint overflows 64 bits at offset 9"),
+              std::string::npos)
+        << v.status().ToString();
+  }
+}
+
+TEST(ByteReaderTest, VarintRoundTripsEveryLength) {
+  std::string bytes;
+  std::vector<uint64_t> values;
+  for (int bits = 0; bits <= 64; ++bits) {
+    const uint64_t v = bits == 64 ? std::numeric_limits<uint64_t>::max()
+                                  : (uint64_t{1} << bits) - 1;
+    values.push_back(v);
+    PutVarint(&bytes, v);
+  }
+  ByteReader r(bytes);
+  for (const uint64_t want : values) {
+    const auto got = r.GetVarint();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+  }
+  EXPECT_TRUE(r.AtEnd());
+}
+
+// Random mixed-kind rows with widening events: ints, doubles, strings and
+// missing trailing values in every column.
+ChunkColumns RandomColumns(Rng& rng, size_t rows, std::vector<Event>* events) {
+  ChunkColumns cols(3, nullptr);
+  size_t width = static_cast<size_t>(rng.UniformInt(0, 2));
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng.Chance(0.1)) ++width;  // a wider event than any before it
+    Event e;
+    e.type = 3;
+    e.ts = static_cast<Timestamp>(i);
+    const size_t nvals = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(width)));
+    for (size_t j = 0; j < nvals; ++j) e.values.push_back(RandomValue(rng));
+    cols.AppendEvent(e);
+    events->push_back(std::move(e));
+  }
+  return cols;
+}
+
+TEST(ColumnsTest, SliceMaterializesLikeSourceRange) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<Event> events;
+    const ChunkColumns cols =
+        RandomColumns(rng, static_cast<size_t>(rng.UniformInt(0, 40)), &events);
+    for (size_t lo = 0; lo <= cols.rows(); ++lo) {
+      for (size_t hi = lo; hi <= cols.rows(); ++hi) {
+        const ChunkColumns slice = cols.Slice(lo, hi);
+        ASSERT_EQ(slice.rows(), hi - lo);
+        std::vector<Event> got;
+        std::vector<Event> want;
+        slice.MaterializeRows(0, slice.rows(), &got);
+        cols.MaterializeRows(lo, hi, &want);
+        ExpectSameEvents(got, want);
+        ExpectSameEvents(want, std::vector<Event>(events.begin() + lo, events.begin() + hi));
+        // Each dictionary holds exactly the strings its rows use.
+        for (size_t j = 0; j < slice.num_columns(); ++j) {
+          const AttributeColumn& col = slice.attr(j);
+          std::vector<std::string> used;
+          for (const uint32_t id : col.str_ids) used.push_back(col.dict.at(id));
+          std::sort(used.begin(), used.end());
+          used.erase(std::unique(used.begin(), used.end()), used.end());
+          EXPECT_EQ(col.dict.size(), used.size()) << "column " << j;
+        }
+      }
+    }
+  }
+}
+
+// An incremental tail compacts with Slice and keeps appending: the dictionary
+// must stay at the distinct live strings instead of re-interning them.
+TEST(ColumnsTest, RepeatedCompactionKeepsDictionaryBounded) {
+  ChunkColumns cols(3, nullptr);
+  std::vector<Event> live;
+  Timestamp ts = 0;
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    for (int i = 0; i < 100; ++i) {
+      Event e(3, ts++, {Value(i % 2 == 0 ? "a" : "b"), Value(int64_t{i})});
+      cols.AppendEvent(e);
+      live.push_back(std::move(e));
+    }
+    const size_t half = cols.rows() / 2;
+    cols = cols.Slice(half, cols.rows());
+    live.erase(live.begin(), live.begin() + static_cast<std::ptrdiff_t>(half));
+    EXPECT_EQ(cols.attr(0).dict.size(), 2u);
+    std::vector<Event> got;
+    cols.MaterializeRows(0, cols.rows(), &got);
+    ExpectSameEvents(got, live);
+  }
+  // Appends after the last compaction reuse the two known ids.
+  cols.AppendEvent(Event(3, ts++, {Value("b")}));
+  cols.AppendEvent(Event(3, ts++, {Value("c")}));
+  EXPECT_EQ(cols.attr(0).dict.size(), 3u);
+}
+
 
 }  // namespace
 }  // namespace exstream

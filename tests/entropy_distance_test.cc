@@ -1,10 +1,14 @@
 #include "ts/entropy_distance.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "reward_oracle.h"
 
 namespace exstream {
 namespace {
@@ -146,6 +150,94 @@ TEST(AbnormalRangesTest, MultipleAbnormalIntervals) {
 TEST(AbnormalRangesTest, FullyMixedYieldsNoRanges) {
   const auto res = ComputeEntropyDistance({5, 5}, {5, 5});
   EXPECT_TRUE(ExtractAbnormalRanges(res).empty());
+}
+
+// One random class sample for the oracle sweep. Values come from a small pool
+// so ties within and across classes are common; the pool holds both zeros.
+std::vector<double> RandomSample(Rng* rng, size_t n, int shape) {
+  static const double kPool[] = {-0.0, 0.0, 1.0, -1.0, 2.5, 3.0, 1e-300, -7.25};
+  std::vector<double> out(n);
+  for (double& v : out) {
+    switch (shape) {
+      case 0:  // ties from the pool
+        v = kPool[rng->UniformInt(0, 7)];
+        break;
+      case 1:  // all equal
+        v = 3.0;
+        break;
+      case 2:  // signed zeros only
+        v = rng->Chance(0.5) ? 0.0 : -0.0;
+        break;
+      case 3:  // rounded Gaussians: long runs of duplicates
+        v = std::round(rng->Gaussian(0, 4));
+        break;
+      default:  // continuous: almost no ties
+        v = rng->Gaussian(0, 10);
+        break;
+    }
+  }
+  return out;
+}
+
+size_t RandomSize(Rng* rng) {
+  switch (rng->UniformInt(0, 9)) {
+    case 0:
+      return 0;  // one empty side
+    case 1:
+      return static_cast<size_t>(rng->UniformInt(61, 4096));
+    default:
+      return static_cast<size_t>(rng->UniformInt(1, 60));
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The merge walk reproduces the struct-sort oracle bit for bit: every entropy
+// term, the distance and the segmentation. Segment edges compare with `==`:
+// the oracle's unstable sort decides whether -0.0 or +0.0 names a zero
+// group, and the two compare equal.
+TEST(EntropyOraclePropertyTest, MatchesStructSortOracle) {
+  constexpr uint64_t kCases = 12000;
+  for (uint64_t seed = 1; seed <= kCases; ++seed) {
+    Rng rng(seed);
+    const int shape_a = static_cast<int>(rng.UniformInt(0, 4));
+    const int shape_r = rng.Chance(0.5) ? shape_a : static_cast<int>(rng.UniformInt(0, 4));
+    const std::vector<double> a = RandomSample(&rng, RandomSize(&rng), shape_a);
+    const std::vector<double> r = RandomSample(&rng, RandomSize(&rng), shape_r);
+    const EntropyDistanceResult got = ComputeEntropyDistance(a, r);
+    const EntropyDistanceResult want = OracleEntropyDistance(a, r);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ASSERT_TRUE(SameBits(got.distance, want.distance));
+    ASSERT_TRUE(SameBits(got.class_entropy, want.class_entropy));
+    ASSERT_TRUE(SameBits(got.segmentation_entropy, want.segmentation_entropy));
+    ASSERT_TRUE(SameBits(got.regularized_entropy, want.regularized_entropy));
+    ASSERT_EQ(got.abnormal_count, want.abnormal_count);
+    ASSERT_EQ(got.reference_count, want.reference_count);
+    ASSERT_EQ(got.segments.size(), want.segments.size());
+    for (size_t i = 0; i < got.segments.size(); ++i) {
+      const Segment& g = got.segments[i];
+      const Segment& w = want.segments[i];
+      ASSERT_EQ(g.cls, w.cls) << "segment " << i;
+      ASSERT_EQ(g.min_value, w.min_value) << "segment " << i;
+      ASSERT_EQ(g.max_value, w.max_value) << "segment " << i;
+      ASSERT_EQ(g.abnormal_points, w.abnormal_points) << "segment " << i;
+      ASSERT_EQ(g.reference_points, w.reference_points) << "segment " << i;
+    }
+  }
+}
+
+TEST(EntropyDistanceTest, SortedEntryPointMatchesUnsorted) {
+  std::vector<double> a = {5, 1, 3, 3, -2};
+  std::vector<double> r = {3, 8, 0, -0.0, 9};
+  const auto unsorted = ComputeEntropyDistance(a, r);
+  std::sort(a.begin(), a.end());
+  std::sort(r.begin(), r.end());
+  const auto sorted = ComputeEntropyDistanceSorted(a, r);
+  EXPECT_TRUE(SameBits(sorted.distance, unsorted.distance));
+  EXPECT_TRUE(SameBits(sorted.regularized_entropy, unsorted.regularized_entropy));
+  EXPECT_EQ(sorted.segments.size(), unsorted.segments.size());
 }
 
 TEST(SegmentClassTest, Names) {

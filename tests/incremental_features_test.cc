@@ -89,6 +89,37 @@ TEST_F(IncrementalFeatureTest, RetentionEvictsAndBackfills) {
   EXPECT_EQ(state.stats().full_hits, 1u);
 }
 
+TEST_F(IncrementalFeatureTest, CompactedTailKeepsStringDictionaryBounded) {
+  ASSERT_TRUE(
+      registry_.Register(EventSchema("C", {{"host", ValueType::kString}})).ok());
+  EventArchive archive(&registry_);
+  IncrementalFeatureState state(&registry_, /*retention=*/50);
+  // Retention compacts the tail every few dozen rows; each compaction must
+  // keep the two live hosts instead of interning them again.
+  for (Timestamp t = 0; t < 2000; ++t) {
+    Feed(&archive, &state, Event(2, t, {Value(t % 2 == 0 ? "h1" : "h2")}));
+  }
+  const TimeInterval recent{1960, 1999};
+  auto tail = state.ScanWithBackfill(archive, 2, recent);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_EQ(state.stats().full_hits, 1u);
+  ASSERT_EQ(tail->segments.size(), 1u);
+  EXPECT_EQ(tail->segments[0].columns->attr(0).dict.size(), 2u);
+
+  auto scan = archive.ScanColumns(2, recent);
+  ASSERT_TRUE(scan.ok());
+  std::vector<Event> got;
+  std::vector<Event> want;
+  tail->MaterializeEvents(&got);
+  scan->MaterializeEvents(&want);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].ts, want[i].ts);
+    ASSERT_EQ(got[i].values.size(), 1u);
+    EXPECT_EQ(got[i].values[0].AsString(), want[i].values[0].AsString());
+  }
+}
+
 TEST_F(IncrementalFeatureTest, OutOfOrderPoisonsTail) {
   // The archive rejects within-chunk disorder but a freshly sealed chunk's
   // first append is unchecked — the tail must never serve rows it can no

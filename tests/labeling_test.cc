@@ -1,8 +1,13 @@
 #include "explain/labeling.h"
 
+#include <bit>
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "reward_oracle.h"
 
 namespace exstream {
 namespace {
@@ -102,6 +107,61 @@ TEST(LabelingTest, NoCandidates) {
   auto labeled = LabelIntervals(abnormal, reference, {});
   ASSERT_TRUE(labeled.ok());
   EXPECT_TRUE(labeled->empty());
+}
+
+// Random labeling problems: levels close enough to tie, rounded values,
+// irregular sampling and the occasional empty series. LabelIntervals sorts
+// each series once; the oracle calls IntervalDistance on every pair. Both
+// must give bit-identical distances and the same labels.
+TEST(LabelingOraclePropertyTest, MatchesPairwiseIntervalDistance) {
+  constexpr uint64_t kSeeds = 400;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const auto random_series = [&rng] {
+      TimeSeries s;
+      if (rng.Chance(0.05)) return s;
+      const double level = static_cast<double>(rng.UniformInt(0, 3)) * 5.0;
+      const double noise = rng.Chance(0.5) ? 0.0 : rng.Uniform(0.1, 6.0);
+      const Timestamp step = rng.UniformInt(1, 8);
+      const int64_t n = rng.UniformInt(1, 120);
+      Timestamp t = rng.UniformInt(0, 1000);
+      for (int64_t i = 0; i < n; ++i) {
+        (void)s.Append(t, std::round(level + rng.Gaussian(0, noise)));
+        t += step + rng.UniformInt(0, 2);
+      }
+      return s;
+    };
+    const CandidateInterval abnormal = Candidate("pA", random_series());
+    const CandidateInterval reference = Candidate("pR", random_series());
+    std::vector<CandidateInterval> candidates;
+    const int64_t k = rng.UniformInt(0, 14);
+    for (int64_t c = 0; c < k; ++c) candidates.push_back(Candidate("p", random_series()));
+    LabelingOptions options;
+    options.cut_threshold = rng.Uniform(0.05, 0.6);
+
+    std::vector<const TimeSeries*> series{&abnormal.series, &reference.series};
+    for (const auto& c : candidates) series.push_back(&c.series);
+    const DistanceMatrix got = IntervalDistances(series, options);
+    const DistanceMatrix want = OraclePairwiseDistances(series, options);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      for (size_t j = 0; j < got.size(); ++j) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got.at(i, j)),
+                  std::bit_cast<uint64_t>(want.at(i, j)))
+            << "cell " << i << "," << j;
+      }
+    }
+
+    auto labeled = LabelIntervals(abnormal, reference, candidates, options);
+    auto oracle = OracleLabelIntervals(abnormal, reference, candidates, options);
+    ASSERT_TRUE(labeled.ok());
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_EQ(labeled->size(), oracle->size());
+    for (size_t c = 0; c < labeled->size(); ++c) {
+      EXPECT_EQ((*labeled)[c].label, (*oracle)[c].label) << "candidate " << c;
+    }
+  }
 }
 
 TEST(LabelingTest, LabelNames) {
