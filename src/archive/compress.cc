@@ -1,5 +1,6 @@
 #include "archive/compress.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -90,7 +91,7 @@ void BitWriter::Finish() {
   }
 }
 
-Result<uint64_t> BitReader::Read(int n) {
+Result<uint64_t> BitReader::ReadSlow(int n) {
   if (n <= 0) return uint64_t{0};
   if (n > 64) return Status::Corruption("bit read wider than 64 bits");
   const size_t available = (data_.size() - byte_) * 8 - static_cast<size_t>(bit_);
@@ -150,18 +151,20 @@ Status DecodeTimestampsDoD(std::string_view data, size_t n,
     return Status::OK();
   }
   // Each delta-of-delta costs at least one byte, so the buffer bounds the
-  // reserve — a corrupt row count cannot drive a huge allocation.
-  out->reserve(std::min(n, data.size()));
+  // array — a corrupt row count cannot drive a huge allocation, and a read
+  // past the buffer fails before a write past the array.
+  out->resize(std::min(n, data.size()));
+  Timestamp* dst = out->data();
   ByteReader r(data);
   EXSTREAM_ASSIGN_OR_RETURN(const int64_t first, r.GetSignedVarint());
-  out->push_back(first);
+  dst[0] = first;
   if (n > 1) {
     EXSTREAM_ASSIGN_OR_RETURN(int64_t delta, r.GetSignedVarint());
-    out->push_back(WrapAdd(out->back(), delta));
+    dst[1] = WrapAdd(first, delta);
     for (size_t i = 2; i < n; ++i) {
       EXSTREAM_ASSIGN_OR_RETURN(const int64_t dod, r.GetSignedVarint());
       delta = WrapAdd(delta, dod);
-      out->push_back(WrapAdd(out->back(), delta));
+      dst[i] = WrapAdd(dst[i - 1], delta);
     }
   }
   if (!r.AtEnd()) {
@@ -335,15 +338,25 @@ Status DecodeDoubles(ByteReader* r, size_t n, std::vector<double>* out) {
         return Status::Corruption(
             StrFormat("scaled-int double stream has bad power %u", pow));
       }
-      out->reserve(n);
+      // Each delta costs at least one byte, so past `pr.remaining()` values
+      // a read fails before a write: the buffer bounds the array.
+      out->resize(std::min(n, pr.remaining()));
+      double* dst = out->data();
       int64_t prev = 0;
       for (size_t i = 0; i < n; ++i) {
         EXSTREAM_ASSIGN_OR_RETURN(const int64_t delta, pr.GetSignedVarint());
         prev = WrapAdd(prev, delta);
-        out->push_back(static_cast<double>(prev) / kPow10[pow]);
+        dst[i] = static_cast<double>(prev);
       }
       if (!pr.AtEnd()) {
         return Status::Corruption("trailing bytes after scaled-int doubles");
+      }
+      // The divide is what the encoder's round-trip check verified, so it
+      // stays (a multiply by 10^-p would round differently); dividing by
+      // 10^0 = 1 is exact and skipped.
+      if (pow > 0) {
+        const double scale = kPow10[pow];
+        for (size_t i = 0; i < n; ++i) dst[i] /= scale;
       }
       return Status::OK();
     }
@@ -407,13 +420,15 @@ void EncodeInts(const int64_t* vals, size_t n, std::string* out) {
 }
 
 Status DecodeInts(ByteReader* r, size_t n, std::vector<int64_t>* out) {
-  out->clear();
-  out->reserve(std::min(n, r->remaining()));
+  // As for scaled-int doubles: a value costs at least one byte, so the
+  // buffer bounds the array and a read past it fails before a write.
+  out->resize(std::min(n, r->remaining()));
+  int64_t* dst = out->data();
   int64_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
     EXSTREAM_ASSIGN_OR_RETURN(const int64_t delta, r->GetSignedVarint());
     prev = WrapAdd(prev, delta);
-    out->push_back(prev);
+    dst[i] = prev;
   }
   return Status::OK();
 }
@@ -423,8 +438,8 @@ void EncodeU32s(const uint32_t* vals, size_t n, std::string* out) {
 }
 
 Status DecodeU32s(ByteReader* r, size_t n, std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(std::min(n, r->remaining()));
+  out->resize(std::min(n, r->remaining()));  // bounded as in DecodeInts
+  uint32_t* dst = out->data();
   for (size_t i = 0; i < n; ++i) {
     EXSTREAM_ASSIGN_OR_RETURN(const uint64_t v, r->GetVarint());
     if (v > UINT32_MAX) {
@@ -432,7 +447,7 @@ Status DecodeU32s(ByteReader* r, size_t n, std::vector<uint32_t>* out) {
           StrFormat("u32 stream value %llu overflows 32 bits",
                     static_cast<unsigned long long>(v)));
     }
-    out->push_back(static_cast<uint32_t>(v));
+    dst[i] = static_cast<uint32_t>(v);
   }
   return Status::OK();
 }

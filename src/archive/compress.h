@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,9 +100,28 @@ class BitReader {
  public:
   explicit BitReader(std::string_view data) : data_(data) {}
 
-  Result<uint64_t> Read(int n);
+  Result<uint64_t> Read(int n) {
+    // Fast path: 1 to 57 bits with 8 bytes left to load, so the bits sit in
+    // one big-endian word at any bit offset. Anything else, errors included,
+    // goes to the checked path.
+    if (static_cast<unsigned>(n - 1) < 57u && data_.size() - byte_ >= 8) {
+      uint64_t word;
+      std::memcpy(&word, data_.data() + byte_, sizeof(word));
+      word = __builtin_bswap64(word);
+      const uint64_t v = (word << bit_) >> (64 - n);
+      const int consumed = bit_ + n;
+      byte_ += static_cast<size_t>(consumed >> 3);
+      bit_ = consumed & 7;
+      return v;
+    }
+    return ReadSlow(n);
+  }
 
  private:
+  /// Read's out-of-line path: widths of 0 or 58 to 64 bits, reads within 8
+  /// bytes of the end, and the Truncated / Corruption errors.
+  Result<uint64_t> ReadSlow(int n);
+
   std::string_view data_;
   size_t byte_ = 0;
   int bit_ = 0;  ///< bits consumed of data_[byte_]

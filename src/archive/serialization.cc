@@ -66,8 +66,27 @@ Result<std::string_view> GetBlock(BytesReader* r, const char* what) {
 // Rebuilds the per-row numeric view from the dense vectors and cross-checks
 // the tag census, rejecting blocks whose dense vectors disagree with their
 // tags.
-Status FinalizeAttributeColumn(AttributeColumn* col, const std::vector<double>& dbls,
+Status FinalizeAttributeColumn(AttributeColumn* col, std::vector<double> dbls,
                                size_t rows, size_t col_index) {
+  // Every row of the declared numeric kind, one dense value per row and no
+  // other kind stored: the census holds by construction, and the numeric view
+  // is the dense vector itself.
+  const uint8_t declared = static_cast<uint8_t>(col->declared);
+  if (std::all_of(col->tags.begin(), col->tags.end(),
+                  [declared](uint8_t tag) { return tag == declared; }) &&
+      col->str_ids.empty()) {
+    if (col->declared == ValueType::kDouble && dbls.size() == rows &&
+        col->ints.empty()) {
+      col->nums = std::move(dbls);
+      return Status::OK();
+    }
+    if (col->declared == ValueType::kInt64 && col->ints.size() == rows && dbls.empty()) {
+      col->nums.resize(rows);
+      for (size_t i = 0; i < rows; ++i) col->nums[i] = static_cast<double>(col->ints[i]);
+      return Status::OK();
+    }
+  }
+
   col->nums.reserve(rows);
   size_t int_cursor = 0;
   size_t dbl_cursor = 0;
@@ -176,7 +195,7 @@ Result<AttributeColumn> ParseAttributeBlock(std::string_view payload, size_t row
     return Status::Corruption(StrFormat("column %zu: %zu trailing bytes",
                                         col_index, r.remaining()));
   }
-  EXSTREAM_RETURN_NOT_OK(FinalizeAttributeColumn(&col, dbls, rows, col_index));
+  EXSTREAM_RETURN_NOT_OK(FinalizeAttributeColumn(&col, std::move(dbls), rows, col_index));
   return col;
 }
 

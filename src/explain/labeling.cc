@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ts/entropy_distance.h"
+#include "ts/sort.h"
 
 namespace exstream {
 
@@ -53,7 +54,7 @@ DistanceMatrix IntervalDistances(const std::vector<const TimeSeries*>& series,
   std::vector<double> freq(n);
   for (size_t i = 0; i < n; ++i) {
     sorted[i] = series[i]->values();
-    std::sort(sorted[i].begin(), sorted[i].end());
+    SortDoubles(sorted[i]);
     freq[i] = series[i]->Frequency();
   }
   DistanceMatrix dist(n);  // one flat allocation, not n+1 row vectors

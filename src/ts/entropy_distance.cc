@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ts/sort.h"
+
 namespace exstream {
 
 namespace {
@@ -131,12 +133,12 @@ EntropyDistanceResult ComputeEntropyDistance(
   sorted.reserve(abnormal_values.size() + reference_values.size());
   sorted.insert(sorted.end(), abnormal_values.begin(), abnormal_values.end());
   sorted.insert(sorted.end(), reference_values.begin(), reference_values.end());
-  const auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(abnormal_values.size());
-  std::sort(sorted.begin(), mid);
-  std::sort(mid, sorted.end());
-  const std::span<const double> all(sorted);
-  return ComputeEntropyDistanceSorted(all.first(abnormal_values.size()),
-                                      all.subspan(abnormal_values.size()));
+  const std::span<double> all(sorted);
+  const std::span<double> abnormal = all.first(abnormal_values.size());
+  const std::span<double> reference = all.subspan(abnormal_values.size());
+  SortDoubles(abnormal);
+  SortDoubles(reference);
+  return ComputeEntropyDistanceSorted(abnormal, reference);
 }
 
 EntropyDistanceResult ComputeEntropyDistance(const TimeSeries& abnormal,

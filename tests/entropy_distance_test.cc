@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -171,6 +172,15 @@ std::vector<double> RandomSample(Rng* rng, size_t n, int shape) {
       case 3:  // rounded Gaussians: long runs of duplicates
         v = std::round(rng->Gaussian(0, 4));
         break;
+      case 4:  // infinities among rounded values
+        v = rng->Chance(0.2)
+                ? (rng->Chance(0.5) ? std::numeric_limits<double>::infinity()
+                                    : -std::numeric_limits<double>::infinity())
+                : std::round(rng->Gaussian(0, 4));
+        break;
+      case 5:  // a large offset plus small integers: high key bytes shared
+        v = 1e12 + static_cast<double>(rng->UniformInt(0, 12));
+        break;
       default:  // continuous: almost no ties
         v = rng->Gaussian(0, 10);
         break;
@@ -202,8 +212,8 @@ TEST(EntropyOraclePropertyTest, MatchesStructSortOracle) {
   constexpr uint64_t kCases = 12000;
   for (uint64_t seed = 1; seed <= kCases; ++seed) {
     Rng rng(seed);
-    const int shape_a = static_cast<int>(rng.UniformInt(0, 4));
-    const int shape_r = rng.Chance(0.5) ? shape_a : static_cast<int>(rng.UniformInt(0, 4));
+    const int shape_a = static_cast<int>(rng.UniformInt(0, 6));
+    const int shape_r = rng.Chance(0.5) ? shape_a : static_cast<int>(rng.UniformInt(0, 6));
     const std::vector<double> a = RandomSample(&rng, RandomSize(&rng), shape_a);
     const std::vector<double> r = RandomSample(&rng, RandomSize(&rng), shape_r);
     const EntropyDistanceResult got = ComputeEntropyDistance(a, r);
